@@ -51,7 +51,6 @@ def cmd_run_stream(args) -> dict:
         processed_at=args.processed_at or _dt.datetime.now(_dt.UTC).isoformat(),
         ingest_window=window,
         num_parts=args.num_parts,
-        bounded_history=args.bounded_history,
     )
 
 
@@ -127,7 +126,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    s = sub.add_parser("run-stream", help="bronze → silver → gold → online")
+    run_stream_help = (
+        "bronze → silver → gold → online. One plan: conversations extend "
+        "from carried per-partition state; late or conflicting ones are "
+        "recomputed exactly from silver history. Rerunning a crashed "
+        "--run-id resumes it."
+    )
+    s = sub.add_parser("run-stream", help=run_stream_help, description=run_stream_help)
     s.add_argument("--bronze", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--run-id", required=True)
@@ -135,21 +140,6 @@ def main(argv=None) -> int:
     s.add_argument("--lookback-minutes", type=int, default=60)
     s.add_argument("--num-parts", type=int, default=64)
     s.add_argument("--processed-at", default=None)
-    s.add_argument(
-        "--bounded-history",
-        action="store_true",
-        default=True,
-        help="manifest-pruned gold recompute: narrow-read silver files "
-        "older than the feature-window horizon (exact; falls back to "
-        "full recompute on conflicting redeliveries). Default ON.",
-    )
-    s.add_argument(
-        "--full-history",
-        dest="bounded_history",
-        action="store_false",
-        help="explicit fallback: exact full-history gold recompute "
-        "(O(total silver history) per run)",
-    )
     s.set_defaults(fn=cmd_run_stream)
 
     d = sub.add_parser("build-datasets", help="gold → train/val/inference")

@@ -1,89 +1,94 @@
-"""Incremental stream runs: O(new turns) of feature compute per run.
+"""The stream job's per-partition step: O(new turns) of feature compute.
 
-``run_stream`` (pipelines/medallion.py) recomputes each partition's gold
-from its FULL silver history every run — exact, but at 10^12 turns a
-10-minute micro-batch must not reprocess a year of data. This module adds
-the streaming path the north star describes ("sessionization carrying
-session state across batch boundaries in actor-pool stateful stages"):
-per-partition state carried across RUNS, new turns processed against a
-bounded window of carried rows.
+``run_stream`` (pipelines/medallion.py) hash-partitions each run's bronze
+slice by conversation and hands every partition to
+:func:`process_partition_incremental` — the north star's "sessionization
+carrying session state across batch boundaries": per-partition state
+carried across RUNS, new turns processed against a bounded window of
+carried rows instead of the partition's whole history.
 
 Per hash partition the state holds
 - ``rows-*.parquet`` — each conversation's trailing ``Δmax`` (= longest
   window, 7 d) of silver rows: exactly the context any future row's
   trailing window can reach. O(active window per conv), never O(history);
 - ``summary-*.parquet`` — per conv: cumulative session-break count
-  (``b_prior``), open-session run length (``trail_in``), ``last_ts``.
-  This is irreducible watermark METADATA (3 ints per conversation —
-  the streaming analog of a per-key watermark store); per-run compute
-  touching it is vectorized and the rewrite is one column-store scan;
+  (``b_prior``), open-session run length (``trail_in``), ``last_ts`` and
+  the highest ``turn_idx`` emitted (``max_turn``). This is irreducible
+  watermark METADATA (4 ints per conversation — the streaming analog of
+  a per-key watermark store);
 - ``tails-*.parquet`` — per conv: the (conv_id, turn_idx) KEY of its
-  last emitted gold row. No feature payload and no text lives in state:
-  ``lead1_ts`` repair is emitted as a slim PATCH row (see below).
+  last gold row, whose ``lead1_ts`` the conversation's next turns repair
+  in place. No feature payload and no text lives in state.
 
-All three files are written with versioned names and committed by an
-atomic ``_current.json`` pointer swap — a crash between file writes can
-never leave mixed-generation state, and a Ray task retry re-reads the
-old pointer and reproduces the identical run (every write is idempotent
-by ``run_id``).
+The files have versioned names and are committed by an atomic
+``_current.json`` pointer swap; the pointer also names the run and the
+row count of each of the partition's gold ``dt=`` files.
 
-A run then is: classify new rows against state —
-- rows whose (conv, turn_idx) key is already in the state window with
-  the SAME ts are exact re-deliveries → dropped (at-least-once input);
+A run classifies the partition's new rows against the state:
+- a (conv, turn_idx) key already in the state window with the SAME ts
+  is an exact re-delivery → no gold work (at-least-once input);
 - a key re-delivered with a DIFFERENT ts is a conflicting version → its
-  conversation falls back to exact full recompute (the dedup contract
+  conversation goes to the exact full recompute (the dedup contract
   "first (ts, ingest_ts) per key" may flip the winner);
-- conversations whose fresh turns all arrive strictly after ``last_ts``
-  take the incremental pass (state rows enter as ``__prefix=1`` window
-  context — the same machinery as the salted shard overlap,
-  stages/salted.py — and session/turn numbering is stitched with the
-  same correction map, fed from the carried summary);
-- a fresh turn at or before ``last_ts`` (including ties: an equal-ts
-  peer belongs inside already-emitted rows' trailing RANGE windows)
-  marks the conversation late → exact full recompute from the
-  partition's local silver history, the per-entity blast radius of B12.
+- a fresh turn at or before the conversation's ``last_ts`` (ties
+  included: an equal-ts peer belongs inside already-emitted rows'
+  trailing RANGE windows) marks the conversation late → full recompute;
+- so does a fresh turn whose ``turn_idx`` is at or below ``max_turn``:
+  it may redeliver a key that has left the carried window, and only the
+  full recompute can apply the dedup contract to it;
+- every other conversation is extended from its carried window
+  (``medallion._gold_partition_bounded``).
 
-Only fresh and conflicting rows are appended to silver (exact
-re-deliveries never duplicate the lake). ``lead1_ts`` is future-peeking:
-when new turns arrive for a conv, a patch row ``(conv_id, turn_idx,
-lead1_ts, __run_seq)`` is written to a ``leadpatch-*.parquet`` sidecar;
-:func:`read_gold_incremental` merges run files keeping the newest version
-per ``(conv_id, turn_idx)`` and then applies each key's newest patch when
-it is newer than the surviving row.
+The full recompute is dedup + ``gold_features_partition`` over the
+conversation's silver history — the per-entity blast radius of B12. A
+partition with no state yet (a new lake, or one written before state
+existed) takes it for every conversation.
 
-Equivalence is tested by splitting bronze into several ingest windows and
-comparing the merged incremental gold with one full-history run
-(tests/test_incremental.py), late arrivals included.
+Commit order; every step is idempotent, so rerunning a crashed
+``run_id`` converges to the uninterrupted result:
+1. silver run file + silver manifest;
+2. ``dt=`` merges (``medallion.write_gold_partition``);
+3. online upsert;
+4. gold manifest;
+5. state pointer swap, last. A partition whose pointer names the run is
+   done, and a rerun skips it.
+
+Equivalence with one full-history run is tested by splitting bronze into
+several ingest windows (tests/test_incremental.py), late arrivals and
+conflicting redeliveries included.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
 from ..stages.featurize import GoldConfig, dedup_first, gold_features_partition
-from ..stages.keyed import PART_COL, add_partition_col
-from ..stages.salted import (
-    PREFIX_COL,
-    SHARD_COL,
-    _apply_corrections,
-    gold_partition_phase_a,
-)
+from ..stages.keyed import PART_COL
+from ..state import feature_put as FP
 from ..state import fsio as F
 from ..state import manifest as M
-from .medallion import normalize_bronze
-from ..sources.reads import read_parquet_sized
-
-RUN_SHARD = np.int64(0)  # constant shard id: one "shard" per conv per run
+from .medallion import (
+    KEY,
+    RUN_STAGE_GOLD,
+    RUN_STAGE_SILVER,
+    VALID_COL,
+    _gold_partition_bounded,
+    _retention_cutoff,
+    _row_keys,
+    latest_per_conv,
+    run_stream,
+    write_gold_partition,
+)
 
 _POINTER = "_current.json"
-_LEGACY = {"rows": "rows.parquet", "summary": "summary.parquet",
-           "tails": "tails.parquet"}
+_STATE_FILES = ("rows", "summary", "tails")
+_SILVER_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 
 
 def _empty_summary() -> pa.Table:
@@ -93,54 +98,44 @@ def _empty_summary() -> pa.Table:
             "b_prior": pa.array([], pa.int64()),
             "trail_in": pa.array([], pa.int64()),
             "last_ts": pa.array([], pa.int64()),
+            "max_turn": pa.array([], pa.int64()),
         }
     )
 
 
-def _read_state(state_dir: str):
-    """Resolve the current state generation via the ``_current.json``
-    pointer (legacy fixed names accepted from pre-pointer lakes).
-    Returns ``(rows_tbl | None, summary_tbl, tails_tbl | None)``."""
-
+def _read_pointer(state_dir: str) -> dict:
     ptr_path = F.join(state_dir, _POINTER)
-    names: dict = {}
-    if F.exists(ptr_path):
-        with F.open_(ptr_path) as f:
-            names = json.load(f)
-    else:
-        names = {
-            k: v for k, v in _LEGACY.items()
-            if F.exists(F.join(state_dir, v))
-        }
-    rows = summary = tails = None
-    if names.get("rows"):
-        rows = F.read_table(F.join(state_dir, names["rows"]))
-    if names.get("summary"):
-        summary = F.read_table(F.join(state_dir, names["summary"]))
-    if names.get("tails"):
-        tails = F.read_table(F.join(state_dir, names["tails"]))
+    if not F.exists(ptr_path):
+        return {}
+    with F.open_(ptr_path) as f:
+        pointer = json.load(f)
+    # a pointer without a run names state from before this layout (its
+    # gold lived elsewhere): start over from silver
+    return pointer if "run_id" in pointer else {}
+
+
+def _read_state(state_dir: str, pointer: dict):
+    """``(rows_tbl | None, summary_tbl, tails_tbl | None)`` of the
+    generation ``pointer`` names."""
+    rows, summary, tails = (
+        F.read_table(F.join(state_dir, pointer[k])) if pointer.get(k) else None
+        for k in _STATE_FILES
+    )
     return rows, (summary if summary is not None else _empty_summary()), tails
 
 
-def _commit_state(state_dir: str, names: dict) -> None:
-    """Atomically swap the state pointer to ``names``, then best-effort
-    delete unreferenced generations (a crash mid-cleanup is harmless —
-    the pointer alone defines the current state)."""
-    ptr_path = F.join(state_dir, _POINTER)
-    F.write_text_atomic(ptr_path, json.dumps(names))
-    keep = set(names.values())
-    for pat in ("rows-*.parquet", "summary-*.parquet", "tails-*.parquet"):
-        for f in F.glob(F.join(state_dir, pat)):
-            if F.basename(f) not in keep:
-                try:
-                    F.remove(f)
-                except OSError:
-                    pass
-    for v in _LEGACY.values():  # legacy generation superseded by pointer
-        p = F.join(state_dir, v)
-        if F.basename(p) not in keep and F.exists(p):
+def _commit_state(state_dir: str, pointer: dict) -> None:
+    """Atomically swap the state pointer, then best-effort delete
+    unreferenced generations (a crash mid-cleanup is harmless — the
+    pointer alone defines the current state)."""
+    F.write_text_atomic(
+        F.join(state_dir, _POINTER), json.dumps(pointer, sort_keys=True)
+    )
+    keep = {pointer[k] for k in _STATE_FILES if pointer.get(k)}
+    for f in F.glob(F.join(state_dir, "*.parquet")):
+        if F.basename(f) not in keep:
             try:
-                F.remove(p)
+                F.remove(f)
             except OSError:
                 pass
 
@@ -148,431 +143,353 @@ def _commit_state(state_dir: str, names: dict) -> None:
 def process_partition_incremental(
     group: pa.Table,
     *,
-    run_seq: int,
     silver_root: str,
     gold_root: str,
+    online_root: str,
     state_root: str,
     cfg: GoldConfig,
     run_id: str,
 ) -> pa.Table:
-    """One partition, one run: silver append + incremental gold + state
-    rollover. Returns per-partition metrics row."""
+    """One partition, one run: the five commits of the module docstring.
+    Returns a per-partition metrics row."""
 
+    t0 = time.perf_counter()
     part = int(group[PART_COL][0].as_py())
     key = f"{part:05d}"
-    g = group.drop_columns([PART_COL])
-    g = dedup_first(g, ["conv_id", "turn_idx"], ["ts", "ingest_ts"])
-
     state_dir = F.join(state_root, f"part={key}")
-    state_rows, summary, tails_meta = _read_state(state_dir)
-    sdf = summary.to_pandas()
+    pointer = _read_pointer(state_dir)
+    if pointer.get("run_id") == run_id:  # committed before a crash: skip
+        return _metrics(part, 0, 0)
 
-    # ---- classify new rows against the state window ----
-    silver_cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    new = g.select(
-        silver_cols + (["ingest_ts"] if "ingest_ts" in g.column_names else [])
+    # S8 error accounting: count tagged validity rejects, then drop
+    g = group.drop_columns([PART_COL])
+    valid = np.asarray(g[VALID_COL].combine_chunks())
+    rows_rejected = int((valid == 0).sum())
+    g = g.filter(pa.array(valid == 1)).drop_columns([VALID_COL])
+    g = dedup_first(g, KEY, ["ts", "ingest_ts"])
+    ts_arr = g["ts"].combine_chunks()
+    g = g.append_column("dt", pc.strftime(ts_arr, format="%Y-%m-%d"))
+
+    # ---- 1. silver: append the run's deduped slice ----
+    silver_file = F.join(silver_root, f"part={key}", f"run-{run_id}.parquet")
+    M.atomic_write_table(g.select([f.name for f in S.SILVER] + ["ingest_ts"]), silver_file)
+    ing = g["ingest_ts"].combine_chunks()
+    M.write_manifest(
+        silver_root,
+        M.PartitionManifest(
+            stage=RUN_STAGE_SILVER,
+            partition_key=key,
+            run_id=run_id,
+            rows_in=group.num_rows,
+            rows_out=g.num_rows,
+            min_ts=str(pc.min(ts_arr).as_py()) if g.num_rows else None,
+            max_ts=str(pc.max(ts_arr).as_py()) if g.num_rows else None,
+            max_ingest_ts=str(pc.max(ing).as_py()) if g.num_rows else None,
+            wall_s=time.perf_counter() - t0,
+            files=[silver_file],
+            extra={"rows_rejected": rows_rejected},
+        ),
     )
-    late_convs: set[str] = set()
-    keep_mask = np.ones(new.num_rows, dtype=bool)  # fresh rows
-    if state_rows is not None and state_rows.num_rows and new.num_rows:
-        ndf = pd.DataFrame(
-            {
-                "__k": _row_keys(new).to_pylist(),
-                "__ts": np.asarray(new["ts"].combine_chunks().cast(pa.int64())),
-            }
-        )
-        stf = pd.DataFrame(
-            {
-                "__k": _row_keys(state_rows).to_pylist(),
-                "__sts": np.asarray(
-                    state_rows["ts"].combine_chunks().cast(pa.int64())
-                ),
-            }
-        )
-        m = ndf.merge(stf, on="__k", how="left")  # preserves left order
-        seen = m["__sts"].notna().to_numpy()
-        keep_mask = ~seen
-        # key re-delivered with a DIFFERENT ts: the dedup winner may flip
-        # -> exact full recompute for that conversation
-        diverged = seen & (m["__sts"].to_numpy() != m["__ts"].to_numpy())
-        if diverged.any():
-            dconvs = set(
-                np.asarray(new["conv_id"].combine_chunks())[diverged].tolist()
-            )
-            late_convs.update(dconvs)
 
-    fresh = new.filter(pa.array(keep_mask)) if not keep_mask.all() else new
-
-    # ---- silver append: fresh + conflicting rows only (exact
-    # re-deliveries never duplicate the lake) ----
-    silver_keep = keep_mask.copy()
-    if late_convs:
-        conv_np = np.asarray(new["conv_id"].combine_chunks())
-        silver_keep |= np.isin(conv_np, sorted(late_convs))
-    silver_src = g.filter(pa.array(silver_keep)) if not silver_keep.all() else g
-    if silver_src.num_rows:
-        ts_arr = silver_src["ts"].combine_chunks()
-        dt = pc.strftime(ts_arr, format="%Y-%m-%d")
-        silver_tbl = silver_src.append_column("dt", dt).select(
-            [f.name for f in S.SILVER] + ["ingest_ts"]
+    # ---- gold rows: carried-window extension + full recompute ----
+    t1 = time.perf_counter()
+    window, summary, tails = _read_state(state_dir, pointer)
+    if pointer:
+        fresh, late_convs = _classify(g, window, summary)
+        extend = fresh.filter(
+            pc.invert(pc.is_in(fresh["conv_id"], value_set=_str_array(late_convs)))
         )
-        silver_file = F.join(
-            silver_root, f"part={key}", f"run-{run_id}.parquet"
-        )
-        M.atomic_write_table(silver_tbl, silver_file)
+    else:  # no carried state: every conversation is recomputed
+        fresh, late_convs, extend = g, set(), g.slice(0, 0)
 
-    # ---- split convs: incremental (strictly-after last_ts) vs late ----
-    if fresh.num_rows and len(sdf):
-        conv_arr = fresh["conv_id"].combine_chunks()
-        enc = pc.dictionary_encode(conv_arr)
-        codes = np.asarray(enc.indices).astype(np.int64)
-        ts_new = np.asarray(fresh["ts"].combine_chunks().cast(pa.int64()))
-        n_codes = int(codes.max()) + 1
-        min_ts = np.full(n_codes, np.iinfo(np.int64).max, np.int64)
-        np.minimum.at(min_ts, codes, ts_new)
-        uniq_convs = enc.dictionary.to_pylist()
-        last_ts_of = dict(zip(sdf["conv_id"], sdf["last_ts"]))
-        for code, c in enumerate(uniq_convs):
-            lt = last_ts_of.get(c)
-            # <= : an equal-ts peer sits inside already-emitted rows'
-            # trailing RANGE windows (duplicate-ts peers included), so a
-            # tie must re-derive those rows too
-            if lt is not None and int(min_ts[code]) <= int(lt):
-                late_convs.add(c)
-
-    max_delta = max(cfg.w_short, cfg.w_distinct, cfg.w_long)
-    outputs = []
-    patches = None
-
-    if fresh.num_rows and late_convs:
-        new_inc = fresh.filter(
-            pc.invert(
-                pc.is_in(fresh["conv_id"], value_set=pa.array(sorted(late_convs)))
-            )
-        )
-    else:
-        new_inc = fresh
-
-    if new_inc.num_rows:
-        # assemble prefix (state rows of these convs) + new rows
-        active = set(new_inc["conv_id"].to_pylist())
-        parts = []
-        if state_rows is not None and state_rows.num_rows:
-            keep = pc.is_in(
-                state_rows["conv_id"], value_set=pa.array(sorted(active))
-            )
-            prefix_tbl = state_rows.filter(keep)
-            if prefix_tbl.num_rows:
-                parts.append(_tag(prefix_tbl.select(silver_cols), prefix=1))
-        parts.append(_tag(new_inc.select(silver_cols), prefix=0))
-        combined = pa.concat_tables(parts, promote_options="default")
-        cfg_inc = GoldConfig(
-            gap_us=cfg.gap_us, w_short=cfg.w_short, w_distinct=cfg.w_distinct,
-            w_long=cfg.w_long, role_counts=cfg.role_counts,
-            compute_turn_idx=False, keep_text=cfg.keep_text, dedup=False,
-        )
-        phase_a = gold_partition_phase_a(combined, cfg_inc)
-        # corrections only for ACTIVE convs — per-run work scales with the
-        # batch, not with every conversation ever seen
-        sdf_active = sdf[sdf["conv_id"].isin(active)] if len(sdf) else sdf
-        corr = _summary_to_corrections(sdf_active, state_rows)
-        harvested = _harvest_summary(phase_a)
-        gold_new = _apply_corrections(phase_a, corr, compute_turn_idx=False)
+    outputs, patches = [], None
+    if extend.num_rows:
+        gold_new, harvested = _gold_partition_bounded(window, extend, summary, cfg)
         outputs.append(gold_new)
+        if tails is not None and tails.num_rows:
+            patches = _lead_patches(tails, window, harvested)
+        summary = _roll_summary(summary, harvested, extend)
 
-        # lead1_ts repair: slim patch rows against stored tail KEYS
-        if tails_meta is not None and tails_meta.num_rows:
-            patches = _lead_patches(tails_meta, harvested, run_seq)
-        sdf = _roll_summary(sdf, harvested)
-
-    # ---- late convs: exact full recompute from local silver history ----
-    late_hist = None
-    if late_convs:
-        hist_files = sorted(
-            F.glob(F.join(silver_root, f"part={key}", "run-*.parquet"))
-        )
-        hist = pa.concat_tables(
-            [F.read_table(f) for f in hist_files], promote_options="default"
-        )
-        hist = hist.filter(
-            pc.is_in(hist["conv_id"], value_set=pa.array(sorted(late_convs)))
-        )
-        hist = dedup_first(hist, ["conv_id", "turn_idx"], ["ts", "ingest_ts"])
-        late_hist = hist
+    hist, clear_dts = None, set()
+    if late_convs or not pointer:
+        hist = _silver_history(silver_root, key, late_convs if pointer else None)
+        # a conflicting version can move a turn to another date: clear the
+        # conversation from every date any of its versions names
+        clear_dts = set(pc.unique(hist["dt"]).to_pylist())
+        hist = dedup_first(hist, KEY, ["ts", "ingest_ts"])
         full = gold_features_partition(hist, cfg)
         outputs.append(full)
-        sdf = _rebuild_summary_from_full(sdf, full)
+        summary = _rebuild_summary_from_full(summary, full)
+    gold_out = pa.concat_tables(outputs, promote_options="default") if outputs else None
+    recomputed = pc.unique(hist["conv_id"]) if hist is not None else _str_array(())
 
-    gold_out = (
-        pa.concat_tables(outputs, promote_options="default")
-        if outputs
-        else None
-    )
-    if gold_out is not None and gold_out.num_rows:
-        gold_file = F.join(gold_root, f"part={key}", f"run-{run_id}.parquet")
-        run_col = pa.array(np.full(gold_out.num_rows, run_seq, np.int64))
-        M.atomic_write_table(gold_out.append_column("__run_seq", run_col), gold_file)
-    if patches is not None and patches.num_rows:
-        patch_file = F.join(
-            gold_root, f"part={key}", f"leadpatch-{run_id}.parquet"
+    # ---- 2. dt= merges ----
+    part_dir = F.join(gold_root, f"part={key}")
+    gold_rows = dict(pointer.get("gold", {}))
+    gold_rows.update(
+        write_gold_partition(
+            gold_out, part_dir, clear_convs=recomputed.to_pylist(),
+            clear_dts=clear_dts, lead_patch=patches,
         )
-        M.atomic_write_table(patches, patch_file)
-
-    # ---- roll state: trailing max_delta rows + summary + tail keys,
-    # committed by one atomic pointer swap ----
-    _write_state(
-        state_dir, run_id, state_rows, fresh, sdf, gold_out, tails_meta,
-        max_delta, silver_cols, late_hist,
     )
+    cutoff = _retention_cutoff(gold_root)
+    gold_rows = {
+        dt: n for dt, n in sorted(gold_rows.items())
+        if n and (cutoff is None or dt >= cutoff)
+    }
+
+    # ---- 3. online: upsert each touched conversation's latest row (S7),
+    # validated + retried with tallies (S8) ----
+    put = {"success": 0, "errors": 0}
+    if gold_out is not None and gold_out.num_rows:
+        online_tbl = _upsert_online(online_root, key, latest_per_conv(gold_out))
+        put = FP.put_partition(online_tbl, online_root, key, run_id=run_id)
+
+    # ---- 4. gold manifest: the partition's whole dt= file set ----
+    M.write_manifest(
+        gold_root,
+        M.PartitionManifest(
+            stage=RUN_STAGE_GOLD,
+            partition_key=key,
+            run_id=run_id,
+            rows_in=extend.num_rows + (hist.num_rows if hist is not None else 0),
+            rows_out=sum(gold_rows.values()),
+            wall_s=time.perf_counter() - t1,
+            files=[F.join(part_dir, f"dt={dt}", "data.parquet") for dt in gold_rows],
+            extra={
+                "gold_mode": "carried" if pointer else "full",
+                "late_convs": len(late_convs),
+                "lead_patches": patches.num_rows if patches is not None else 0,
+                "put_success": put["success"],
+                "put_errors": put["errors"],
+            },
+        ),
+    )
+
+    # ---- 5. state: trailing window + summary + tail keys, committed by
+    # one atomic pointer swap ----
+    max_delta = max(cfg.w_short, cfg.w_distinct, cfg.w_long)
+    _write_state(
+        state_dir, run_id, window, extend, hist, recomputed, summary, gold_out,
+        tails, pointer, max_delta, gold_rows,
+    )
+    return _metrics(part, fresh.num_rows, len(late_convs))
+
+
+def _metrics(part: int, new_rows: int, late_convs: int) -> pa.Table:
     return pa.table(
         {
             "part": pa.array([part], pa.int32()),
-            "new_rows": pa.array([fresh.num_rows], pa.int64()),
-            "late_convs": pa.array([len(late_convs)], pa.int64()),
+            "new_rows": pa.array([new_rows], pa.int64()),
+            "late_convs": pa.array([late_convs], pa.int64()),
         }
     )
 
 
-def _row_keys(tbl: pa.Table) -> pa.Array:
-    """Vectorized (conv_id, turn_idx) composite key."""
-    return pc.binary_join_element_wise(
-        tbl["conv_id"].combine_chunks(),
-        pc.cast(tbl["turn_idx"].combine_chunks(), pa.string()),
-        "#",
-    )
+def _str_array(values) -> pa.Array:
+    return pa.array(sorted(values), pa.string())
 
 
-def _tag(tbl: pa.Table, prefix: int) -> pa.Table:
-    n = tbl.num_rows
-    tbl = tbl.append_column(SHARD_COL, pa.array(np.full(n, RUN_SHARD), pa.int64()))
-    return tbl.append_column(
-        PREFIX_COL, pa.array(np.full(n, prefix, np.int8), pa.int8())
-    )
-
-
-def _summary_to_corrections(sdf: pd.DataFrame, state_rows) -> pd.DataFrame:
-    if not len(sdf):
-        return pd.DataFrame()
-    has_prefix_rows = set()
-    if state_rows is not None and state_rows.num_rows:
-        has_prefix_rows = set(state_rows["conv_id"].to_pylist())
-    return pd.DataFrame(
-        {
-            "conv_id": sdf["conv_id"],
-            SHARD_COL: int(RUN_SHARD),
-            "turn_off": 0,
-            "b_prior": sdf["b_prior"].astype(np.int64),
-            "trail_in": sdf["trail_in"].astype(np.int64),
-            "prev_last_ts": sdf["last_ts"].astype(object),
-            "next_first_ts": None,
-            "no_prefix": [c not in has_prefix_rows for c in sdf["conv_id"]],
-            "n_real": np.int64(-1),  # never matches ridx -> no last-row fix
-        }
-    )
-
-
-def _harvest_summary(phase_a: pa.Table) -> pd.DataFrame:
-    """Per-conv shard summary embedded on first real rows of phase A."""
-    mask = pc.is_valid(phase_a["__sum_n_real"])
-    t = phase_a.select(
-        ["conv_id", "__sum_n_real", "__sum_breaks", "__sum_trail",
-         "__sum_first_ts", "__sum_last_ts"]
-    ).filter(mask)
-    return pd.DataFrame(
-        {
-            "conv_id": t["conv_id"].to_pylist(),
-            "n_real": t["__sum_n_real"].to_pylist(),
-            "n_breaks": t["__sum_breaks"].to_pylist(),
-            "trail": t["__sum_trail"].to_pylist(),
-            "first_ts": t["__sum_first_ts"].to_pylist(),
-            "last_ts": t["__sum_last_ts"].to_pylist(),
-        }
-    )
-
-
-def _roll_summary(sdf: pd.DataFrame, harvested: pd.DataFrame) -> pd.DataFrame:
-    """Merge this run's per-conv summaries into the carried state —
-    vectorized: compute on O(active convs), one boolean filter over the
-    carried table (no per-conv Python loop over history)."""
-    if not len(harvested):
-        return sdf
-    h = harvested.copy()
-    if len(sdf):
-        m = h.merge(
-            sdf, on="conv_id", how="left", suffixes=("", "_prior")
+def _classify(new: pa.Table, window, summary: pa.Table) -> tuple[pa.Table, set]:
+    """Split a run's deduped rows against the carried state into (fresh
+    rows — keys the window does not hold, conversations to recompute)."""
+    late: set[str] = set()
+    fresh = new
+    if window is not None and window.num_rows and new.num_rows:
+        idx = pc.index_in(_row_keys(new), value_set=_row_keys(window))
+        # key re-delivered with a DIFFERENT ts: the dedup winner may flip
+        diverged = pc.fill_null(
+            pc.not_equal(
+                pc.take(window["ts"].combine_chunks(), idx),
+                new["ts"].combine_chunks(),
+            ),
+            False,
         )
-        prior_b = m["b_prior"].fillna(0).astype(np.int64)
-        prior_trail = m["trail_in"].fillna(0).astype(np.int64)
-    else:
-        m = h
-        prior_b = np.zeros(len(h), np.int64)
-        prior_trail = np.zeros(len(h), np.int64)
-    n_breaks = m["n_breaks"].astype(np.int64)
-    upd = pd.DataFrame(
+        late.update(pc.unique(new["conv_id"].combine_chunks().filter(diverged)).to_pylist())
+        fresh = new.filter(pc.is_null(idx))
+    if fresh.num_rows and summary.num_rows:
+        conv = fresh["conv_id"].combine_chunks()
+        pos = pc.index_in(conv, value_set=summary["conv_id"].combine_chunks())
+        last_ts = pc.take(summary["last_ts"].combine_chunks(), pos)
+        max_turn = pc.take(summary["max_turn"].combine_chunks(), pos)
+        # <= : an equal-ts peer sits inside already-emitted rows' trailing
+        # RANGE windows (duplicate-ts peers included), so a tie must
+        # re-derive those rows too
+        behind = pc.fill_null(
+            pc.or_(
+                pc.less_equal(fresh["ts"].combine_chunks().cast(pa.int64()), last_ts),
+                pc.less_equal(fresh["turn_idx"].combine_chunks().cast(pa.int64()), max_turn),
+            ),
+            False,
+        )
+        late.update(pc.unique(conv.filter(behind)).to_pylist())
+    return fresh, late
+
+
+def _silver_history(silver_root: str, key: str, convs) -> pa.Table:
+    """The partition's silver rows, every version, optionally narrowed to
+    ``convs``."""
+    files = sorted(F.glob(F.join(silver_root, f"part={key}", "run-*.parquet")))
+    only = None if convs is None else [("conv_id", "in", sorted(convs))]
+    return pa.concat_tables(
+        [F.read_table(f, filters=only) for f in files], promote_options="default"
+    )
+
+
+def _upsert_online(online_root: str, key: str, latest: pa.Table) -> pa.Table:
+    """The partition's online table with ``latest``'s conversations
+    replaced (untouched conversations persist)."""
+    dest = F.join(online_root, f"part={key}", "data.parquet")
+    if not F.exists(dest):
+        return latest
+    old = F.read_table(dest)
+    kept = old.filter(
+        pc.invert(
+            pc.is_in(
+                old["conv_id"].combine_chunks(),
+                value_set=latest["conv_id"].combine_chunks(),
+            )
+        )
+    )
+    return pa.concat_tables([kept, latest], promote_options="default")
+
+
+def _replace_convs(summary: pa.Table, upd: pa.Table) -> pa.Table:
+    """``summary`` with ``upd``'s conversations replaced by its rows."""
+    kept = summary.filter(
+        pc.invert(pc.is_in(summary["conv_id"], value_set=upd["conv_id"].combine_chunks()))
+    )
+    return pa.concat_tables([kept, upd.select(kept.column_names).cast(kept.schema)])
+
+
+def _max_turn(tbl: pa.Table, conv: pa.Array) -> np.ndarray:
+    """Highest ``turn_idx`` of each conversation in ``conv`` within ``tbl``."""
+    mt = tbl.group_by("conv_id").aggregate([("turn_idx", "max")])
+    pos = pc.index_in(conv, value_set=mt["conv_id"].combine_chunks())
+    return np.asarray(pc.take(mt["turn_idx_max"].combine_chunks(), pos).cast(pa.int64()))
+
+
+def _roll_summary(summary: pa.Table, harvested: pa.Table, extend: pa.Table) -> pa.Table:
+    """Fold this run's per-conv pass summaries into the carried state —
+    vectorized over the active conversations only."""
+    if not harvested.num_rows:
+        return summary
+    conv = harvested["conv_id"].combine_chunks()
+    pos = pc.index_in(conv, value_set=summary["conv_id"].combine_chunks())
+
+    def prior(col: str, default: int) -> np.ndarray:
+        taken = pc.take(summary[col].combine_chunks(), pos)
+        return np.asarray(taken.fill_null(default))
+
+    n_breaks = np.asarray(harvested["n_breaks"])
+    upd = pa.table(
         {
-            "conv_id": m["conv_id"],
-            "b_prior": prior_b + n_breaks,
+            "conv_id": conv,
+            "b_prior": prior("b_prior", 0) + n_breaks,
             "trail_in": np.where(
                 n_breaks > 0,
-                m["trail"].astype(np.int64),
-                prior_trail + m["n_real"].astype(np.int64),
+                np.asarray(harvested["trail"]),
+                prior("trail_in", 0) + np.asarray(harvested["n_real"]),
             ),
-            "last_ts": m["last_ts"].astype(np.int64)
-            if "last_ts_prior" not in m.columns
-            else m["last_ts"].astype(np.int64),
+            "last_ts": harvested["last_ts"],
+            "max_turn": np.maximum(prior("max_turn", -1), _max_turn(extend, conv)),
         }
     )
-    if len(sdf):
-        untouched = sdf[~sdf["conv_id"].isin(set(h["conv_id"]))]
-        return pd.concat([untouched, upd], ignore_index=True)
-    return upd
+    return _replace_convs(summary, upd)
 
 
-def _rebuild_summary_from_full(sdf: pd.DataFrame, full: pa.Table) -> pd.DataFrame:
-    """After a full per-conv recompute, rebuild that conv's carry state
-    from the final gold rows — vectorized per-conv last-row pick."""
-    df = full.select(["conv_id", "ts", "session_id", "session_turn_idx"]).to_pandas()
-    if not len(df):
-        return sdf
-    last = df.groupby("conv_id", sort=False).agg(
-        session_id=("session_id", "last"),
-        session_turn_idx=("session_turn_idx", "last"),
-        ts=("ts", "max"),
-    )
-    upd = pd.DataFrame(
+def _rebuild_summary_from_full(summary: pa.Table, full: pa.Table) -> pa.Table:
+    """After a full per-conv recompute, rebuild those convs' carry state
+    from their final gold rows."""
+    if not full.num_rows:
+        return summary
+    last = latest_per_conv(full)
+    conv = last["conv_id"].combine_chunks()
+    upd = pa.table(
         {
-            "conv_id": last.index,
-            "b_prior": last["session_id"].astype(np.int64) + 1,
-            "trail_in": last["session_turn_idx"].astype(np.int64) + 1,
-            "last_ts": (
-                pd.to_datetime(last["ts"])
-                .astype("datetime64[ns]")
-                .astype(np.int64)
-                // 1000  # ns -> us
-            ),
+            "conv_id": conv,
+            "b_prior": pc.add(last["session_id"].cast(pa.int64()), 1),
+            "trail_in": pc.add(last["session_turn_idx"].cast(pa.int64()), 1),
+            "last_ts": last["ts"].cast(pa.int64()),  # us since epoch
+            "max_turn": _max_turn(full, conv),
         }
     )
-    if len(sdf):
-        untouched = sdf[~sdf["conv_id"].isin(set(upd["conv_id"]))]
-        return pd.concat([untouched, upd], ignore_index=True)
-    return upd.reset_index(drop=True)
+    return _replace_convs(summary, upd)
 
 
-def _lead_patches(
-    tails_meta: pa.Table, harvested: pd.DataFrame, run_seq: int
-) -> pa.Table:
-    """Slim lead1_ts patch rows: for each conv that got new turns, its
-    previously-final row's KEY gains ``lead1_ts = first new ts``. No
-    feature payload travels — the reader applies the patch onto the
-    surviving row (:func:`read_gold_incremental`)."""
-    first_ts_of = dict(zip(harvested["conv_id"], harvested["first_ts"]))
-    keep = pc.is_in(
-        tails_meta["conv_id"],
-        value_set=pa.array(sorted(first_ts_of), pa.string()),
+def _lead_patches(tails: pa.Table, window: pa.Table, harvested: pa.Table) -> pa.Table:
+    """``(conv_id, turn_idx, dt, lead1_ts)`` for each extended
+    conversation's previous last gold row: its ``lead1_ts`` becomes the
+    first new turn's ts. The row's ``dt`` comes from its ts in the
+    carried window, which always holds a conversation's last row."""
+    first = pa.table(
+        {
+            "conv_id": harvested["conv_id"],
+            "lead1_ts": harvested["first_ts"].cast(pa.timestamp("us")),
+        }
     )
-    t = tails_meta.filter(keep)
-    if not t.num_rows:
-        return t.append_column(
-            "lead1_ts", pa.array([], pa.timestamp("us"))
-        ).append_column("__run_seq", pa.array([], pa.int64()))
-    lead = pa.array(
-        np.array([int(first_ts_of[c]) for c in t["conv_id"].to_pylist()], np.int64),
-        pa.int64(),
-    ).cast(pa.timestamp("us"))
-    t = t.append_column("lead1_ts", lead)
-    return t.append_column(
-        "__run_seq", pa.array(np.full(t.num_rows, run_seq, np.int64))
-    )
+    t = tails.join(first, keys="conv_id", join_type="inner")
+    t = t.join(window.select(KEY + ["ts"]), keys=KEY, join_type="inner")
+    dt = pc.strftime(t["ts"].combine_chunks(), format="%Y-%m-%d")
+    return t.append_column("dt", dt).select(KEY + ["dt", "lead1_ts"])
 
 
 def _write_state(
-    state_dir, run_id, state_rows, fresh, sdf, gold_out, tails_meta,
-    max_delta, silver_cols, late_hist,
+    state_dir, run_id, window, extend, hist, recomputed, summary, gold_out,
+    tails, pointer, max_delta, gold_rows,
 ) -> None:
     """Roll the partition state and commit it with one atomic pointer
     swap (versioned files + ``_current.json``): a crash between writes or
     a task retry can never mix generations."""
 
     parts = []
-    if state_rows is not None and state_rows.num_rows:
-        parts.append(state_rows.select(silver_cols))
-    if fresh.num_rows:
-        parts.append(fresh.select(silver_cols))
-    if late_hist is not None and late_hist.num_rows:
-        # late convs' window must reflect the DEDUPED truth (a conflicting
-        # re-delivery may have changed the winning version of a turn)
-        parts.append(late_hist.select(silver_cols))
-    if not parts:
-        return
-    allr = pa.concat_tables(parts, promote_options="default")
-    # trailing window per conv: keep rows with ts >= conv_last - max_delta
-    conv = allr["conv_id"].combine_chunks()
-    codes = np.asarray(pc.dictionary_encode(conv).indices).astype(np.int64)
-    ts = np.asarray(allr["ts"].combine_chunks().cast(pa.int64()))
-    n_codes = codes.max() + 1 if len(codes) else 0
-    last = np.full(n_codes, np.iinfo(np.int64).min, np.int64)
-    np.maximum.at(last, codes, ts)
-    keep = ts >= last[codes] - max_delta
-    rows_out = allr.filter(pa.array(keep))
-    rows_out = dedup_first(rows_out, ["conv_id", "turn_idx"], ["ts"])
+    if window is not None and window.num_rows:
+        # recomputed convs' window must reflect the DEDUPED truth (a
+        # conflicting re-delivery may have changed the winning version)
+        parts.append(
+            window.select(_SILVER_COLS).filter(
+                pc.invert(pc.is_in(window["conv_id"], value_set=recomputed))
+            )
+        )
+    if extend.num_rows:
+        parts.append(extend.select(_SILVER_COLS))
+    if hist is not None and hist.num_rows:
+        parts.append(hist.select(_SILVER_COLS))
 
     F.makedirs(state_dir, exist_ok=True)
-    names: dict = {}
-    names["rows"] = f"rows-{run_id}.parquet"
-    M.atomic_write_table(rows_out, F.join(state_dir, names["rows"]))
-    names["summary"] = f"summary-{run_id}.parquet"
-    M.atomic_write_table(
-        pa.Table.from_pandas(sdf, preserve_index=False),
-        F.join(state_dir, names["summary"]),
-    )
+    new = {"run_id": run_id, "gold": gold_rows}
+    allr = pa.concat_tables(parts, promote_options="default") if parts else None
+    if allr is not None and allr.num_rows:
+        # trailing window per conv: keep rows with ts >= conv_last - max_delta
+        conv = allr["conv_id"].combine_chunks()
+        codes = np.asarray(pc.dictionary_encode(conv).indices).astype(np.int64)
+        ts = np.asarray(allr["ts"].combine_chunks().cast(pa.int64()))
+        last = np.full(codes.max() + 1, np.iinfo(np.int64).min, np.int64)
+        np.maximum.at(last, codes, ts)
+        new["rows"] = f"rows-{run_id}.parquet"
+        M.atomic_write_table(
+            allr.filter(pa.array(ts >= last[codes] - max_delta)),
+            F.join(state_dir, new["rows"]),
+        )
+    new["summary"] = f"summary-{run_id}.parquet"
+    M.atomic_write_table(summary, F.join(state_dir, new["summary"]))
 
-    tails_new = None
     if gold_out is not None and gold_out.num_rows:
         # store each conv's final gold row KEY for future lead1_ts patches
         conv_g = gold_out["conv_id"].combine_chunks()
-        codes_g = np.asarray(pc.dictionary_encode(conv_g).indices).astype(np.int64)
-        ts_g = np.asarray(gold_out["ts"].combine_chunks().cast(pa.int64()))
-        ti_g = np.asarray(gold_out["turn_idx"].combine_chunks().cast(pa.int64()))
-        order = np.lexsort((-ti_g, -ts_g, codes_g))
-        k = codes_g[order]
-        first = np.zeros(len(k), dtype=bool)
-        if len(k):
-            first[0] = True
-            first[1:] = k[1:] != k[:-1]
-        tails_new = gold_out.select(["conv_id", "turn_idx"]).take(
-            pa.array(order[first])
-        )
-        if tails_meta is not None and tails_meta.num_rows:
-            gone = pc.invert(
-                pc.is_in(tails_meta["conv_id"], value_set=conv_g.unique())
-            )
+        tails_new = latest_per_conv(gold_out).select(KEY)
+        if tails is not None and tails.num_rows:
+            gone = pc.invert(pc.is_in(tails["conv_id"], value_set=conv_g.unique()))
             tails_new = pa.concat_tables(
-                [
-                    tails_new,
-                    tails_meta.filter(gone).select(tails_new.column_names),
-                ],
-                promote_options="default",
+                [tails_new, tails.filter(gone).select(KEY)], promote_options="default"
             )
-        names["tails"] = f"tails-{run_id}.parquet"
-        M.atomic_write_table(tails_new, F.join(state_dir, names["tails"]))
-    elif tails_meta is not None:
+        new["tails"] = f"tails-{run_id}.parquet"
+        M.atomic_write_table(tails_new, F.join(state_dir, new["tails"]))
+    elif pointer.get("tails"):
         # keep referencing the previous generation's tails unchanged
-        prev = _current_names(state_dir)
-        if prev.get("tails"):
-            names["tails"] = prev["tails"]
+        new["tails"] = pointer["tails"]
 
-    _commit_state(state_dir, names)
-
-
-def _current_names(state_dir: str) -> dict:
-    ptr_path = F.join(state_dir, _POINTER)
-    if F.exists(ptr_path):
-        with F.open_(ptr_path) as f:
-            return json.load(f)
-    return {
-        k: v for k, v in _LEGACY.items()
-        if F.exists(F.join(state_dir, v))
-    }
+    _commit_state(state_dir, new)
 
 
 def run_stream_incremental(
@@ -586,124 +503,20 @@ def run_stream_incremental(
     num_parts: int = 16,
     gold_cfg: GoldConfig | None = None,
 ) -> dict:
-    """One incremental stream run over an ingest window.
-
-    ``num_parts`` is part of the lake's physical layout (conversation →
-    partition assignment): it is persisted on first run and later runs
-    must match, else state/silver would silently split across partition
-    directories."""
-    import ray.data as rd
-
-    silver_root = F.join(out_root, "silver")
-    gold_root = F.join(out_root, "gold_inc")
-    state_root = F.join(out_root, "state")
-    cfg = gold_cfg or GoldConfig(dedup=False)
-
-    F.makedirs(state_root, exist_ok=True)
-    meta_path = F.join(state_root, "_meta.json")
-    if F.exists(meta_path):
-        with F.open_(meta_path) as f:
-            meta = json.load(f)
-        if int(meta["num_parts"]) != int(num_parts):
-            raise ValueError(
-                f"incremental lake at {out_root} was created with "
-                f"num_parts={meta['num_parts']}; got {num_parts} — the "
-                "partition layout is fixed at lake creation"
-            )
-    else:
-        F.write_text_atomic(meta_path, json.dumps({"num_parts": int(num_parts)}))
-
-    ds = read_parquet_sized(bronze_path)
-    ds = ds.map_batches(
-        lambda t: normalize_bronze(t, processed_at=processed_at, window=ingest_window),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    """Former entry point of the carried-state plan, now
+    :func:`medallion.run_stream` itself. ``run_seq`` is accepted for old
+    callers and unused: the state pointer orders runs."""
+    return run_stream(
+        bronze_path, out_root, run_id=run_id, processed_at=processed_at,
+        ingest_window=ingest_window, num_parts=num_parts, gold_cfg=gold_cfg,
     )
-    ds = ds.map_batches(
-        lambda t: add_partition_col(t, "conv_id", num_parts),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    stats = (
-        ds.groupby(PART_COL)
-        .map_groups(
-            lambda grp: process_partition_incremental(
-                grp,
-                run_seq=run_seq,
-                silver_root=silver_root,
-                gold_root=gold_root,
-                state_root=state_root,
-                cfg=cfg,
-                run_id=run_id,
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-    )
-    return {
-        "run_id": run_id,
-        "partitions": len(stats),
-        "new_rows": int(stats["new_rows"].sum()) if len(stats) else 0,
-        "late_convs": int(stats["late_convs"].sum()) if len(stats) else 0,
-    }
 
 
 def read_gold_incremental(out_root: str) -> pa.Table:
-    """Merge incremental run files: newest version per (conv, turn_idx)
-    wins, then each key's newest lead1_ts patch is applied when the patch
-    is newer than the surviving row (patches are slim sidecar rows — no
-    feature payload is duplicated in state). An empty lake returns an
-    empty gold-schema table."""
-
-    files = sorted(
-        F.glob(F.join(out_root, "gold_inc", "part=*", "run-*.parquet"))
-    )
+    """The lake's gold layer as one table (the ``gold/part=*/dt=*`` files
+    every reader uses). An empty lake returns an empty gold-schema
+    table."""
+    files = sorted(F.glob(F.join(out_root, "gold", "part=*", "dt=*", "data.parquet")))
     if not files:
-        empty = gold_features_partition(
-            S.SILVER.empty_table(), GoldConfig(dedup=False)
-        )
-        return empty
-    allt = pa.concat_tables(
-        [F.read_table(f) for f in files], promote_options="default"
-    )
-    # keep the LAST version: order by run_seq desc and keep first
-    neg = pc.multiply(allt["__run_seq"], pa.scalar(-1, pa.int64()))
-    allt = allt.set_column(
-        allt.schema.get_field_index("__run_seq"), "__run_seq", neg
-    )
-    out = dedup_first(allt, ["conv_id", "turn_idx"], ["__run_seq"])
-
-    patch_files = sorted(
-        F.glob(F.join(out_root, "gold_inc", "part=*", "leadpatch-*.parquet"))
-    )
-    if patch_files:
-        p = pa.concat_tables(
-            [F.read_table(f) for f in patch_files], promote_options="default"
-        )
-        pneg = pc.multiply(p["__run_seq"], pa.scalar(-1, pa.int64()))
-        p = p.set_column(p.schema.get_field_index("__run_seq"), "__run_seq", pneg)
-        p = dedup_first(p, ["conv_id", "turn_idx"], ["__run_seq"])
-        p = pa.table(
-            {
-                "conv_id": p["conv_id"],
-                "turn_idx": p["turn_idx"],
-                "__patch_lead": p["lead1_ts"],
-                "__patch_seq": p["__run_seq"],  # negated, like rows
-            }
-        )
-        out = out.append_column(
-            "__i", pa.array(np.arange(out.num_rows, dtype=np.int64))
-        )
-        j = out.join(p, keys=["conv_id", "turn_idx"], join_type="left outer")
-        j = j.sort_by("__i")
-        # negated seqs: patch NEWER than row  <=>  __patch_seq < __run_seq.
-        # and_kleene: false AND null = false (unmatched rows keep their
-        # lead1_ts; plain and_ would null the mask and wipe them)
-        apply_mask = pc.and_kleene(
-            pc.is_valid(j["__patch_seq"]),
-            pc.less(j["__patch_seq"], j["__run_seq"]),
-        )
-        lead = pc.if_else(apply_mask, j["__patch_lead"], j["lead1_ts"])
-        j = j.set_column(j.schema.get_field_index("lead1_ts"), "lead1_ts", lead)
-        out = j.drop_columns(["__i", "__patch_lead", "__patch_seq"])
-    return out.drop_columns(["__run_seq"])
+        return gold_features_partition(S.SILVER.empty_table(), GoldConfig(dedup=False))
+    return pa.concat_tables([F.read_table(f) for f in files], promote_options="default")

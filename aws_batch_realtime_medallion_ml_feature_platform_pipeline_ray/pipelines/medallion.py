@@ -8,44 +8,57 @@ SURVEY.md §3.1) as one Ray Data pipeline with a single hash shuffle:
    late turns are picked up by later runs and backfilled),
 2. normalize + validate + filter (M1-M4, M12) in stateless map_batches,
 3. hash-partition by ``conv_id`` (the one shuffle),
-4. per partition: append this run's silver rows (atomic parquet + lineage
-   manifest), then recompute that partition's gold from the partition's
-   FULL silver history and overwrite it (atomic + manifest), then refresh
-   the online latest-per-conv table for the partition.
+4. per partition (``incremental.process_partition_incremental``): append
+   this run's silver rows, build gold for the run's turns against the
+   partition's carried state, merge the rows into the partition's
+   ``gold/part=*/dt=*/data.parquet`` files, upsert the online table, and
+   commit the new state generation last.
 
-Because gold partitions are recomputed from full per-partition silver,
-late-arriving turns are handled exactly: the blast radius of a late turn
-is its conversation's hash partition (north-rule B12), and the
-watermark/lateness bound the reference parses but never uses
-(silver_and_gold.py:31) becomes the ingest-window lower bound. Unlike the
-reference — whose gold only sees the current window's slice, silently
-truncating 24h/7d features (silver_and_gold.py:200-207) — gold here is
-always computed over full history (SURVEY.md §7.3).
+There is one stream plan. A conversation whose new turns all come after
+its carried ``last_ts`` is extended from its carried trailing window
+(:func:`_gold_partition_bounded`). A late turn or a conflicting
+redelivery sends its conversation to the exact full recompute over the
+partition's silver history — the blast radius of a late turn is its
+conversation (north-rule B12). A partition with no carried state (the
+first run, or a lake written before state existed) takes the full
+recompute for every conversation, so a single backfill run IS the full
+recompute, the reference the tests compare every windowed run against.
+Unlike the reference — whose gold only sees the current window's slice,
+silently truncating 24h/7d features (silver_and_gold.py:200-207) — gold
+here always equals a computation over full history (SURVEY.md §7.3).
 
-Resume: a partition whose (stage, part, run_id) manifest exists is
-skipped; kill-and-rerun converges to the same bytes.
+Resume: a partition whose state pointer names the run is skipped; every
+gold/online write is an idempotent key-replace merge, so kill-and-rerun
+converges to the same outputs.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 from ..state import fsio as F
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
 from ..stages.featurize import GoldConfig, dedup_first, gold_features_partition
 from ..stages.keyed import PART_COL, add_partition_col
+from ..stages.salted import (
+    PREFIX_COL,
+    SHARD_COL,
+    _apply_corrections,
+    gold_partition_phase_a,
+)
 from ..state import manifest as M
 from ..state import feature_put as FP
 from ..sources.reads import read_parquet_sized
 
 RUN_STAGE_SILVER = "silver"
 RUN_STAGE_GOLD = "gold"
+KEY = ["conv_id", "turn_idx"]
 
 
 def _coerce_ts(v):
@@ -127,41 +140,25 @@ def run_stream(
     num_parts: int = 16,
     gold_cfg: GoldConfig | None = None,
     ray_kwargs: dict | None = None,
-    bounded_history: bool = True,
 ) -> StreamRunResult:
-    """Execute one stream run. Returns run metrics (from manifests).
+    """Execute one stream run. Returns run metrics (from manifests) plus
+    ``new_rows`` (turns not already in the carried window) and
+    ``late_convs`` (conversations sent to the full recompute).
 
-    ``bounded_history=True`` (the production DEFAULT since r5 — the
-    full recompute is the explicit ``bounded_history=False`` fallback)
-    switches the gold recompute from the O(full-partition-history)
-    baseline to the manifest-pruned bounded
-    plan (VERDICT r3 §next-3): silver run files whose manifest
-    ``max_ts`` predates ``slice_min_ts - max_window`` are read with a
-    NARROW projection (conv_id, turn_idx, ts, ingest_ts — no text) that
-    only feeds session/ordering state and cross-run dedup; full payload
-    reads are limited to files overlapping the feature-window horizon.
-    Gold dt= fragments older than the recompute boundary are preserved
-    on disk instead of rewritten, with the single forward-looking column
-    (``lead1_ts``) patched in place where a conversation continues
-    across the boundary. Falls back to the exact full recompute per
-    partition when a redelivered key CONFLICTS with cold history (a new
-    version that wins the first-(ts, ingest_ts) dedup would change
-    already-emitted rows). Output bytes are equivalent to the full
-    recompute (tests/test_bounded_history.py)."""
-    import ray
-    import ray.data as rd
+    ``num_parts`` is part of the lake's physical layout (conversation →
+    partition assignment): it is pinned in ``state/_meta.json`` on the
+    first run and later runs must match, else silver and state would
+    silently split across partition directories."""
+    from .incremental import process_partition_incremental
 
     silver_root = F.join(out_root, "silver")
     gold_root = F.join(out_root, "gold")
     online_root = F.join(out_root, "online")
-    # dedup happens explicitly on the silver history read-back, so the
-    # fused pass can skip its own dedup step
+    state_root = F.join(out_root, "state")
+    # dedup happens explicitly on the silver slice and history read-back,
+    # so the fused pass can skip its own dedup step
     cfg = gold_cfg or GoldConfig(dedup=False)
-
-    # resume skip keyed on the FINAL (gold) stage manifest: a crash
-    # between the silver and gold manifest writes must rerun the
-    # partition end to end, or gold/online would stay permanently stale
-    done_silver = M.completed_partitions(gold_root, RUN_STAGE_GOLD, run_id)
+    _pin_num_parts(state_root, num_parts)
 
     ds = read_parquet_sized(bronze_path)
     ds = ds.map_batches(
@@ -176,123 +173,20 @@ def run_stream(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    if done_silver:
-        done_arr = pa.array(
-            np.array([int(p) for p in done_silver], dtype=np.int32)
-        )
-        ds = ds.map_batches(
-            lambda t: t.filter(
-                pc.invert(pc.is_in(t[PART_COL], value_set=done_arr))
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    def process_partition(group: pa.Table) -> pa.Table:
-        t0 = time.perf_counter()
-        part = int(group[PART_COL][0].as_py())
-        key = f"{part:05d}"
-        g = group.drop_columns([PART_COL])
-
-        # S8 error accounting: count tagged validity rejects, then drop
-        valid = np.asarray(g[VALID_COL].combine_chunks())
-        rows_rejected = int((valid == 0).sum())
-        g = g.filter(pa.array(valid == 1)).drop_columns([VALID_COL])
-
-        # ---- silver: dedup within the run slice, stable sort, append ----
-        g = dedup_first(g, ["conv_id", "turn_idx"], ["ts", "ingest_ts"])
-        ts_arr = g["ts"].combine_chunks()
-        dt = pc.strftime(ts_arr, format="%Y-%m-%d")
-        g = g.append_column("dt", dt)
-        silver_file = F.join(silver_root, f"part={key}", f"run-{run_id}.parquet")
-        silver_cols = [f.name for f in S.SILVER] + ["ingest_ts"]
-        silver_tbl = g.select(silver_cols)
-        M.atomic_write_table(silver_tbl, silver_file)
-        ing = g["ingest_ts"].combine_chunks()
-        M.write_manifest(
-            silver_root,
-            M.PartitionManifest(
-                stage=RUN_STAGE_SILVER,
-                partition_key=key,
-                run_id=run_id,
-                rows_in=group.num_rows,
-                rows_out=g.num_rows,
-                min_ts=str(pc.min(ts_arr).as_py()) if g.num_rows else None,
-                max_ts=str(pc.max(ts_arr).as_py()) if g.num_rows else None,
-                max_ingest_ts=str(pc.max(ing).as_py()) if g.num_rows else None,
-                wall_s=time.perf_counter() - t0,
-                files=[silver_file],
-                extra={"rows_rejected": rows_rejected},
-            ),
-        )
-
-        # ---- gold: recompute this partition from silver history (full
-        # baseline, or the manifest-pruned bounded plan) ------------------
-        t1 = time.perf_counter()
-        part_dir = F.join(silver_root, f"part={key}")
-        files = sorted(F.glob(F.join(part_dir, "run-*.parquet")))
-
-        bounded = None
-        if bounded_history:
-            if g.num_rows == 0:
-                # empty slice: nothing can change — keep gold untouched
-                bounded = ([], 0, 0, {"success": 0, "errors": 0},
-                           {"gold_mode": "bounded-noop"})
-            else:
-                bounded = _gold_partition_bounded(
-                    silver_root, gold_root, online_root, key, files, cfg,
-                    run_id, pc.min(ts_arr).as_py(),
-                )
-        if bounded is not None:
-            gold_files, rows_in, rows_out, put, gold_extra = bounded
-        else:
-            hist = pa.concat_tables(
-                [F.read_table(f) for f in files], promote_options="default"
-            )
-            # cross-run dedup: keep first (ts, ingest_ts) per
-            # (conv_id, turn_idx)
-            hist = dedup_first(hist, ["conv_id", "turn_idx"], ["ts", "ingest_ts"])
-            gold_tbl = gold_features_partition(hist, cfg)
-            gold_files = write_gold_partition(
-                gold_tbl, F.join(gold_root, f"part={key}")
-            )
-
-            # ---- online: latest feature row per conv (S7 upsert
-            # semantics), validated + retried with tallies (S8) ----------
-            online_tbl = latest_per_conv(gold_tbl)
-            put = FP.put_partition(online_tbl, online_root, key, run_id=run_id)
-            rows_in, rows_out = hist.num_rows, gold_tbl.num_rows
-            gold_extra = {"gold_mode": "full"}
-
-        M.write_manifest(
-            gold_root,
-            M.PartitionManifest(
-                stage=RUN_STAGE_GOLD,
-                partition_key=key,
-                run_id=run_id,
-                rows_in=rows_in,
-                rows_out=rows_out,
-                wall_s=time.perf_counter() - t1,
-                files=gold_files,
-                extra={
-                    **gold_extra,
-                    "put_success": put["success"],
-                    "put_errors": put["errors"],
-                },
-            ),
-        )
-
-        return pa.table(
-            {
-                "part": pa.array([part], pa.int32()),
-                "silver_rows": pa.array([g.num_rows], pa.int64()),
-                "gold_rows": pa.array([rows_out], pa.int64()),
-            }
-        )
-
     stats = (
         ds.groupby(PART_COL)
-        .map_groups(process_partition, batch_format="pyarrow")
+        .map_groups(
+            lambda grp: process_partition_incremental(
+                grp,
+                silver_root=silver_root,
+                gold_root=gold_root,
+                online_root=online_root,
+                state_root=state_root,
+                cfg=cfg,
+                run_id=run_id,
+            ),
+            batch_format="pyarrow",
+        )
         .to_pandas()
     )
 
@@ -303,285 +197,233 @@ def run_stream(
         json.dumps({"num_parts": num_parts, "key": "conv_id"}),
     )
 
-    silver_ms = [
-        m for m in M.load_manifests(silver_root, RUN_STAGE_SILVER) if m.run_id == run_id
-    ]
-    gold_ms = [
-        m for m in M.load_manifests(gold_root, RUN_STAGE_GOLD) if m.run_id == run_id
-    ]
+    keys = [f"{int(p):05d}" for p in sorted(stats["part"])] if len(stats) else []
+    silver_ms = [M.read_manifest(silver_root, RUN_STAGE_SILVER, k, run_id) for k in keys]
+    gold_ms = [M.read_manifest(gold_root, RUN_STAGE_GOLD, k, run_id) for k in keys]
     result = StreamRunResult(
         run_id=run_id,
         partitions=len(stats),
         silver=M.summarize(silver_ms),
         gold=M.summarize(gold_ms),
         online=FP.summarize_puts(gold_ms),
+        new_rows=int(stats["new_rows"].sum()) if len(stats) else 0,
+        late_convs=int(stats["late_convs"].sum()) if len(stats) else 0,
     )
     run_manifest = F.join(out_root, f"run-{run_id}.json")
     F.write_text_atomic(run_manifest, json.dumps(result, indent=1))
     return result
 
 
-def write_gold_partition(
-    gold_tbl: pa.Table, part_dir: str, preserve_before: str | None = None
-) -> list[str]:
-    """Overwrite one gold hash partition with physical ``dt=`` Hive layout
-    (``part=NNNNN/dt=YYYY-MM-DD/data.parquet``) so daily dataset builds
-    prune fragments by date instead of scanning the whole lake (reference
-    intent silver_and_gold.py:74-77 + build_datasets.py:51-53; VERDICT r1
-    §missing-1). The ``dt`` column stays in-file too, so readers that
-    glob the whole tree see an unchanged schema. Files are written
-    atomically, then stale ``dt=`` dirs (dates no longer present after a
-    late-turn recompute) and any legacy flat file are removed. Returns the
-    written file paths."""
-    import pyarrow.compute as _pc
+def _pin_num_parts(state_root: str, num_parts: int) -> None:
+    meta_path = F.join(state_root, "_meta.json")
+    if F.exists(meta_path):
+        with F.open_(meta_path) as f:
+            pinned = int(json.load(f)["num_parts"])
+        if pinned != int(num_parts):
+            raise ValueError(
+                f"lake at {F.dirname(state_root)} was created with "
+                f"num_parts={pinned}; got {num_parts} — the partition "
+                "layout is fixed at lake creation"
+            )
+        return
+    F.makedirs(state_root, exist_ok=True)
+    F.write_text_atomic(meta_path, json.dumps({"num_parts": int(num_parts)}))
 
-    new_files: list[str] = []
-    new_dts: set[str] = set()
-    # C8 durability: a full-history recompute must not resurrect dt=
-    # fragments a retention run already expired — honor the persisted
-    # cutoff so expiry sticks across later stream runs
+
+def write_gold_partition(
+    gold_tbl: pa.Table | None,
+    part_dir: str,
+    *,
+    clear_convs=(),
+    clear_dts=(),
+    lead_patch: pa.Table | None = None,
+) -> dict[str, int]:
+    """Merge rows into one gold hash partition's physical ``dt=`` Hive
+    layout (``part=NNNNN/dt=YYYY-MM-DD/data.parquet``), so daily dataset
+    builds prune fragments by date instead of scanning the whole lake
+    (reference intent silver_and_gold.py:74-77 + build_datasets.py:51-53).
+    The ``dt`` column stays in-file too, so readers that glob the whole
+    tree see an unchanged schema.
+
+    Every touched ``dt`` file is rewritten atomically as: its old rows,
+    minus rows whose ``(conv_id, turn_idx)`` key ``gold_tbl`` carries and
+    minus every row of ``clear_convs``, with ``lead1_ts`` set in place for
+    the keys of ``lead_patch`` (``conv_id, turn_idx, dt, lead1_ts``), plus
+    ``gold_tbl``'s rows of that date. Touched dates are those of
+    ``gold_tbl``, ``clear_dts`` and ``lead_patch``; a date left empty is
+    removed. Each merge is idempotent, so a rerun after a crash converges
+    to the same files. Dates before the persisted retention cutoff are
+    never written, so expiry sticks across later runs (C8). Returns
+    ``{dt: rows now in that dt's file}`` for every touched date."""
+    from concurrent.futures import ThreadPoolExecutor
+
     cutoff = _retention_cutoff(F.dirname(part_dir))
-    if cutoff is not None and gold_tbl.num_rows:
-        gold_tbl = gold_tbl.filter(
-            _pc.greater_equal(gold_tbl["dt"], pa.scalar(cutoff))
-        )
-    if gold_tbl.num_rows:
-        dt_enc = _pc.dictionary_encode(gold_tbl["dt"].combine_chunks())
+    new_by_dt: dict[str, pa.Table] = {}
+    new_keys = None
+    if gold_tbl is not None and gold_tbl.num_rows:
+        new_keys = _row_keys(gold_tbl)
+        dt_enc = pc.dictionary_encode(gold_tbl["dt"].combine_chunks())
         codes = np.asarray(dt_enc.indices)
-        dts = dt_enc.dictionary.to_pylist()
         order = np.argsort(codes, kind="stable")
         sorted_tbl = gold_tbl.take(pa.array(order))
-        counts = np.bincount(codes, minlength=len(dts))
-        # per-dt writes are independent; parquet encode/IO releases the
-        # GIL, so a small thread pool overlaps the many per-day files one
-        # partition produces (days dominate wall time at fine dt grain)
-        from concurrent.futures import ThreadPoolExecutor
-
+        counts = np.bincount(codes, minlength=len(dt_enc.dictionary))
         starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        for i, dt in enumerate(dt_enc.dictionary.to_pylist()):
+            new_by_dt[dt] = sorted_tbl.slice(int(starts[i]), int(counts[i]))
+    patch_dts = set()
+    if lead_patch is not None and lead_patch.num_rows:
+        patch_dts = set(pc.unique(lead_patch["dt"]).to_pylist())
+    touched = sorted(
+        dt for dt in set(new_by_dt) | set(clear_dts) | patch_dts
+        if cutoff is None or dt >= cutoff
+    )
+    clear = pa.array(sorted(clear_convs), pa.string())
 
-        def write_one(i_dt):
-            i, dt = i_dt
-            f = F.join(part_dir, f"dt={dt}", "data.parquet")
-            M.atomic_write_table(sorted_tbl.slice(int(starts[i]), int(counts[i])), f)
-            return f, str(dt)
+    def merge_one(dt: str) -> tuple[str, int]:
+        f = F.join(part_dir, f"dt={dt}", "data.parquet")
+        parts = []
+        if F.exists(f):
+            old = F.read_table(f)
+            drop = pc.is_in(old["conv_id"].combine_chunks(), value_set=clear)
+            if new_keys is not None:
+                drop = pc.or_(drop, pc.is_in(_row_keys(old), value_set=new_keys))
+            old = old.filter(pc.invert(drop))
+            if dt in patch_dts and old.num_rows:
+                old = _patch_lead(old, lead_patch)
+            parts.append(old)
+        if dt in new_by_dt:
+            parts.append(new_by_dt[dt])
+        t = pa.concat_tables(parts, promote_options="default") if parts else None
+        if t is not None and t.num_rows:
+            M.atomic_write_table(t, f)
+            return dt, t.num_rows
+        if F.exists(F.dirname(f)):
+            F.rmtree(F.dirname(f))
+        return dt, 0
 
-        with ThreadPoolExecutor(max_workers=min(8, len(dts))) as ex:
-            for f, dt in ex.map(write_one, enumerate(dts)):
-                new_files.append(f)
-                new_dts.add(dt)
-    legacy = F.join(part_dir, "data.parquet")
-    if F.exists(legacy):
-        F.remove(legacy)
-    for d in F.glob(F.join(part_dir, "dt=*")):
-        dt_name = F.basename(d)[3:]
-        if preserve_before is not None and dt_name < preserve_before:
-            continue  # bounded-history mode: pre-boundary days are kept
-        if dt_name not in new_dts:
-            F.rmtree(d)
-    return new_files
-
-
-_NARROW_COLS = ["conv_id", "turn_idx", "ts", "ingest_ts"]
-
-
-def _split_history_files(silver_root, key, files, cutoff):
-    """Partition a gold recompute's silver run-file list into (hot, cold)
-    by each file's manifest ``max_ts``: hot files overlap
-    [cutoff, inf) and need a full-payload read; cold files end strictly
-    before the cutoff and only feed session/ordering state (narrow
-    read). Files with no manifest (orphans from a crash before the
-    manifest write) are conservatively hot."""
-    from datetime import datetime
-
-    bounds: dict[str, str | None] = {}
-    for m in M.load_manifests(silver_root, RUN_STAGE_SILVER):
-        if m.partition_key != key:
-            continue
-        for f in m.files:
-            bounds[F.canon(f)] = m.max_ts
-    hot, cold = [], []
-    for f in files:
-        mx = bounds.get(F.canon(f), None)
-        if mx is None or datetime.fromisoformat(mx) >= cutoff:
-            hot.append(f)
-        else:
-            cold.append(f)
-    return hot, cold
+    # per-dt merges are independent; parquet encode/IO releases the GIL,
+    # so a small thread pool overlaps the many per-day files one
+    # partition touches (days dominate wall time at fine dt grain)
+    if len(touched) < 2:
+        return dict(map(merge_one, touched))
+    with ThreadPoolExecutor(max_workers=min(8, len(touched))) as ex:
+        return dict(ex.map(merge_one, touched))
 
 
-def _apply_lead_patch(tbl: pa.Table, grp) -> pa.Table:
-    """Set ``lead1_ts`` for the (conv_id, turn_idx) keys in ``grp`` (a
-    small pandas frame) — the one forward-looking gold column that a
-    preserved pre-boundary row must absorb when its conversation
-    continues into the recomputed range."""
-    import pandas as pd
+def _patch_lead(tbl: pa.Table, patch: pa.Table) -> pa.Table:
+    """Set ``lead1_ts`` for the rows of ``tbl`` whose key ``patch`` names
+    — the one forward-looking gold column an already-written row must
+    absorb when its conversation continues."""
+    idx = pc.index_in(_row_keys(tbl), value_set=_row_keys(patch))
+    lead = pc.if_else(
+        pc.is_valid(idx), pc.take(patch["lead1_ts"], idx), tbl["lead1_ts"]
+    )
+    return tbl.set_column(tbl.schema.get_field_index("lead1_ts"), "lead1_ts", lead)
 
-    df = tbl.to_pandas()
-    idx = pd.MultiIndex.from_frame(df[["conv_id", "turn_idx"]])
-    tgt = pd.MultiIndex.from_frame(grp[["conv_id", "turn_idx"]])
-    pos = idx.get_indexer(tgt)
-    valid = pos >= 0
-    if valid.any():
-        df.loc[df.index[pos[valid]], "lead1_ts"] = (
-            grp["lead1_ts"].to_numpy()[valid]
-        )
-    return pa.Table.from_pandas(df, schema=tbl.schema, preserve_index=False)
+
+def _row_keys(tbl: pa.Table) -> pa.Array:
+    """Vectorized (conv_id, turn_idx) composite key."""
+    return pc.binary_join_element_wise(
+        tbl["conv_id"].combine_chunks(),
+        pc.cast(tbl["turn_idx"].combine_chunks(), pa.string()),
+        "#",
+    )
+
+
+RUN_SHARD = np.int64(0)  # constant shard id: one "shard" per conv per run
 
 
 def _gold_partition_bounded(
-    silver_root, gold_root, online_root, key, files, cfg, run_id, slice_min
-):
-    """Manifest-pruned gold recompute for one partition (VERDICT r3
-    §next-3). Exactness argument:
+    window: pa.Table | None, new: pa.Table, summary: pa.Table, cfg: GoldConfig
+) -> tuple[pa.Table, pa.Table]:
+    """Gold rows for turns that extend conversations past their carried
+    ``last_ts``, from the carried state alone. Exactness argument:
 
-    - every trailing window is <= max(w_short, w_distinct, w_long), so a
-      row with ts >= slice_min (the earliest row whose features can
-      change this run — new rows all have ts >= slice_min and trailing
-      windows mean later arrivals never alter earlier rows' aggregates)
-      only needs full-payload context from [slice_min - max_window, inf):
-      the HOT files;
-    - session_id / ordering / lag have unbounded lookback but depend
-      only on the per-conv (ts, turn_idx) sequence and the cross-run
-      dedup outcome — COLD files supply exactly those columns (narrow
-      read, no text bytes);
-    - preserved rows (ts < slice_min) keep their on-disk gold bytes —
-      correct because trailing windows never look forward — except
-      ``lead1_ts`` of each conversation's last pre-boundary row, patched
-      in place;
-    - a redelivered key that would FLIP a cold dedup winner invalidates
-      preserved rows -> return None and let the caller run the exact
-      full recompute (per-partition blast radius, the B12 contract).
+    - every trailing window is <= Δmax = max(w_short, w_distinct, w_long),
+      and ``window`` holds each conversation's last Δmax of silver rows,
+      so it enters the fused pass as ``__prefix=1`` context — the same
+      machinery as the salted shard overlap (stages/salted.py) — and
+      later turns never alter earlier rows' aggregates;
+    - session_id / session_turn_idx / lag have unbounded lookback, but
+      depend only on the carried per-conversation summary (session-break
+      count ``b_prior``, open-session run ``trail_in``, ``last_ts``),
+      stitched in with the salted correction map.
 
-    Returns (gold_files, rows_in, rows_out, put, extra) or None."""
-    import datetime as _dt
-
-    import pandas as pd
-
-    max_delta_us = int(max(cfg.w_short, cfg.w_distinct, cfg.w_long))
-    cutoff = slice_min - _dt.timedelta(microseconds=max_delta_us)
-    hot_files, cold_files = _split_history_files(
-        silver_root, key, files, cutoff
+    Returns ``(gold rows of new, per-conversation summary of this pass)``;
+    the caller rolls the summary and patches the previous last row's
+    ``lead1_ts``."""
+    silver_cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+    active = pc.unique(new["conv_id"].combine_chunks())
+    parts = []
+    if window is not None and window.num_rows:
+        prefix = window.filter(pc.is_in(window["conv_id"], value_set=active))
+        if prefix.num_rows:
+            parts.append(_tag(prefix.select(silver_cols), prefix=1))
+    parts.append(_tag(new.select(silver_cols), prefix=0))
+    combined = pa.concat_tables(parts, promote_options="default")
+    cfg_inc = GoldConfig(
+        gap_us=cfg.gap_us, w_short=cfg.w_short, w_distinct=cfg.w_distinct,
+        w_long=cfg.w_long, role_counts=cfg.role_counts,
+        compute_turn_idx=False, keep_text=cfg.keep_text, dedup=False,
     )
-    if not cold_files:
-        return None  # nothing prunable — the full path reads the same bytes
-    hot = pa.concat_tables(
-        [F.read_table(f) for f in hot_files], promote_options="default"
+    phase_a = gold_partition_phase_a(combined, cfg_inc)
+    # corrections only for ACTIVE convs — per-run work scales with the
+    # batch, not with every conversation ever seen
+    corr = _summary_to_corrections(
+        summary.filter(pc.is_in(summary["conv_id"], value_set=active)), window
     )
-    cold = pa.concat_tables(
-        [F.read_table(f, columns=_NARROW_COLS) for f in cold_files],
-        promote_options="default",
+    harvested = _harvest_summary(phase_a)
+    return _apply_corrections(phase_a, corr, compute_turn_idx=False), harvested
+
+
+def _tag(tbl: pa.Table, prefix: int) -> pa.Table:
+    n = tbl.num_rows
+    tbl = tbl.append_column(SHARD_COL, pa.array(np.full(n, RUN_SHARD), pa.int64()))
+    return tbl.append_column(
+        PREFIX_COL, pa.array(np.full(n, prefix, np.int8), pa.int8())
     )
 
-    # conflict check: would any hot row beat a cold row for the same
-    # (conv_id, turn_idx) key under first-(ts, ingest_ts) dedup?
-    hk = (
-        hot.select(_NARROW_COLS)
-        .to_pandas()
-        .sort_values(_NARROW_COLS)
-        .drop_duplicates(["conv_id", "turn_idx"])
-    )
-    ck = (
-        cold.to_pandas()
-        .sort_values(_NARROW_COLS)
-        .drop_duplicates(["conv_id", "turn_idx"])
-    )
-    j = hk.merge(ck, on=["conv_id", "turn_idx"], suffixes=("_h", "_c"))
-    if len(j):
-        hot_wins = (j["ts_h"] < j["ts_c"]) | (
-            (j["ts_h"] == j["ts_c"]) & (j["ingest_ts_h"] < j["ingest_ts_c"])
-        )
-        if bool(hot_wins.any()):
-            return None  # cold winner flips -> exact full fallback
 
-    need = ["conv_id", "turn_idx", "role", "text", "tool", "ts", "ingest_ts"]
-    n_cold = cold.num_rows
-    cold_aligned = pa.table(
+def _summary_to_corrections(summary: pa.Table, window) -> pd.DataFrame:
+    """The salted stitch's correction map for conversations with carried
+    state: their session/turn numbering continues from the summary."""
+    if not summary.num_rows:
+        return pd.DataFrame()
+    conv = summary["conv_id"].combine_chunks()
+    if window is not None and window.num_rows:
+        no_prefix = pc.invert(pc.is_in(conv, value_set=window["conv_id"].combine_chunks()))
+    else:
+        no_prefix = pa.array(np.ones(len(conv), bool))
+    return pd.DataFrame(
         {
-            "conv_id": cold["conv_id"],
-            "turn_idx": cold["turn_idx"],
-            "role": pa.nulls(n_cold, hot.schema.field("role").type),
-            "text": pa.nulls(n_cold, hot.schema.field("text").type),
-            "tool": pa.nulls(n_cold, hot.schema.field("tool").type),
-            "ts": cold["ts"],
-            "ingest_ts": cold["ingest_ts"],
+            "conv_id": conv.to_numpy(zero_copy_only=False),
+            SHARD_COL: int(RUN_SHARD),
+            "turn_off": 0,
+            "b_prior": np.asarray(summary["b_prior"]),
+            "trail_in": np.asarray(summary["trail_in"]),
+            "prev_last_ts": pd.Series(np.asarray(summary["last_ts"]), dtype=object),
+            "next_first_ts": None,
+            "no_prefix": np.asarray(no_prefix),
+            "n_real": np.int64(-1),  # never matches ridx -> no last-row fix
         }
-    ).select(need)
-    combined = pa.concat_tables(
-        [hot.select(need), cold_aligned], promote_options="default"
-    )
-    combined = dedup_first(combined, ["conv_id", "turn_idx"], ["ts", "ingest_ts"])
-    gold_all = gold_features_partition(combined, cfg)
-
-    ts_col = gold_all["ts"].combine_chunks()
-    slice_scalar = pa.scalar(slice_min, type=ts_col.type)
-    emit_mask = pc.greater_equal(ts_col, slice_scalar)
-    emitted = gold_all.filter(emit_mask)
-    boundary_dt = slice_min.strftime("%Y-%m-%d")
-
-    # lead1_ts patches: last pre-boundary row of each conversation that
-    # continues into the recomputed range
-    lead = gold_all["lead1_ts"].combine_chunks()
-    pmask = pc.and_(
-        pc.invert(emit_mask),
-        pc.and_(pc.is_valid(lead), pc.greater_equal(lead, slice_scalar)),
-    )
-    patches = gold_all.filter(pmask).select(
-        ["conv_id", "turn_idx", "dt", "lead1_ts"]
     )
 
-    part_gold_dir = F.join(gold_root, f"part={key}")
-    bfile = F.join(part_gold_dir, f"dt={boundary_dt}", "data.parquet")
-    keep = None
-    if F.exists(bfile):
-        old_b = F.read_table(bfile)
-        keep = old_b.filter(
-            pc.less(old_b["ts"].combine_chunks(), slice_scalar)
-        )
-    pdf = patches.to_pandas()
-    for dt_val, grp in pdf.groupby("dt"):
-        dt_val = str(dt_val)
-        if dt_val == boundary_dt:
-            if keep is not None and keep.num_rows:
-                keep = _apply_lead_patch(keep, grp)
-            continue
-        f = F.join(part_gold_dir, f"dt={dt_val}", "data.parquet")
-        if F.exists(f):
-            M.atomic_write_table(_apply_lead_patch(F.read_table(f), grp), f)
 
-    to_write = emitted
-    if keep is not None and keep.num_rows:
-        to_write = pa.concat_tables([keep, emitted], promote_options="default")
-    gold_files = write_gold_partition(
-        to_write, part_gold_dir, preserve_before=boundary_dt
+def _harvest_summary(phase_a: pa.Table) -> pa.Table:
+    """Per-conv shard summary embedded on first real rows of phase A."""
+    t = phase_a.filter(pc.is_valid(phase_a["__sum_n_real"]))
+    return pa.table(
+        {
+            "conv_id": t["conv_id"],
+            "n_real": t["__sum_n_real"],
+            "n_breaks": t["__sum_breaks"],
+            "trail": t["__sum_trail"],
+            "first_ts": t["__sum_first_ts"],
+            "last_ts": t["__sum_last_ts"],
+        }
     )
 
-    # online upsert: merge emitted conversations over the existing table
-    # (the full path rewrites all convs; here untouched convs persist)
-    online_tbl = latest_per_conv(emitted)
-    dest = F.join(online_root, f"part={key}", "data.parquet")
-    if F.exists(dest):
-        old_online = F.read_table(dest)
-        mask = pc.invert(
-            pc.is_in(
-                old_online["conv_id"].combine_chunks(),
-                value_set=online_tbl["conv_id"].combine_chunks(),
-            )
-        )
-        kept_online = old_online.filter(mask)
-        if kept_online.num_rows:
-            online_tbl = pa.concat_tables(
-                [kept_online, online_tbl], promote_options="default"
-            )
-    put = FP.put_partition(online_tbl, online_root, key, run_id=run_id)
 
-    extra = {
-        "gold_mode": "bounded",
-        "hot_files": len(hot_files),
-        "cold_files": len(cold_files),
-        "preserved_before_dt": boundary_dt,
-        "lead_patches": patches.num_rows,
-    }
-    return gold_files, combined.num_rows, emitted.num_rows, put, extra
 
 
 def _retention_cutoff(gold_root: str) -> str | None:
@@ -688,9 +530,9 @@ def compact_silver(
     ``run-*.parquet`` glob) holding the deduped union, then delete the
     sources.
 
-    CRASH-SAFE WITHOUT TOMBSTONES: every silver consumer (gold full
-    recompute, medallion.py:201-206; incremental late-conv backfill,
-    incremental.py:198-207) already folds its read through
+    CRASH-SAFE WITHOUT TOMBSTONES: every silver consumer (the stream's
+    full recompute in ``incremental.process_partition_incremental`` and
+    the snapshot readers) already folds its read through
     ``dedup_first(["conv_id","turn_idx"], ["ts","ingest_ts"])``, so if a
     crash lands between the atomic compact-file rename and the source
     deletes, the temporarily duplicated rows collapse to the identical
@@ -786,8 +628,8 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
     row counts, and flag on-disk parquet leaves no manifest claims
     (orphans — e.g. debris from a killed run before its manifest
     landed). Filesystem metadata + parquet footers only, no data reads.
-    The check a resumable lake needs before trusting `completed_partitions`
-    for a resume, and the per-partition-metrics audit the north rule's
+    The check a resumable lake needs before trusting a resume, and the
+    per-partition-metrics audit the north rule's
     lineage requirement implies.
 
     Multi-run semantics: silver is append-per-run, so every silver
@@ -796,8 +638,9 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
     manifest describes the current bytes and older silver / compact
     manifests for that partition are superseded (skipped for parity;
     their still-existing files remain claimed so a compaction crash
-    window never reports orphans). Gold is overwrite-per-partition, so
-    only the NEWEST gold manifest per partition (by manifest mtime)
+    window never reports orphans). Gold is merged in place per partition
+    and each gold manifest lists the partition's whole ``dt=`` file set,
+    so only the NEWEST gold manifest per partition (by manifest mtime)
     describes the current bytes. ``run_id`` narrows missing/row checks
     to one run's manifests; the orphan scan always considers every
     manifest's claims."""
@@ -986,7 +829,7 @@ def read_silver_snapshot(out_root: str, as_of: float, *, dedup: bool = True):
     first (ts, ingest_ts) per (conv_id, turn_idx)) distributed per
     silver hash-partition directory.
 
-    Gold has no snapshot axis by design (partitions are recomputed in
+    Gold has no snapshot axis by design (partitions are merged in
     place); a historical gold is reproduced by running the feature pass
     over a silver snapshot — see :func:`gold_snapshot`."""
     import ray.data as rd

@@ -163,9 +163,9 @@ FROM read_ndjson('{d}/*.json.gz')
 def q_medallion_incremental(sf_dir: str):
     """The streaming path: the same bronze fixture split into two ingest
     windows (by ingest_ts median — late turns land in window 2), run
-    through run_stream_incremental with cross-run session/window state,
-    merged with newest-version-wins. Shares the medallion oracle SQL:
-    incremental must equal the single full-history run bit-for-bit."""
+    through the stream plan with cross-run session/window state and read
+    back from the one gold layout. Shares the medallion oracle SQL: two
+    windowed runs must equal the single full-history run bit-for-bit."""
     import numpy as np
     import pyarrow.compute as pc
     import pyarrow.parquet as pq

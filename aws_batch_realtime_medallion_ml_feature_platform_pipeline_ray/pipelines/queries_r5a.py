@@ -826,11 +826,15 @@ def q_events_since_last_purchase(sf_dir: str):
         uid = np.asarray(t["user_id"].combine_chunks())
         ts = np.asarray(t["ts"].combine_chunks().cast(pa.int64()))
         eid = np.asarray(t["event_id"].combine_chunks())
-        is_p = np.asarray(
-            pc.equal(t["event_type"].combine_chunks(), "purchase")
-        )
+        et = t["event_type"].combine_chunks()
+        is_p = np.asarray(pc.fill_null(pc.equal(et, "purchase"), False))
+        # a NULL type is neither a purchase nor emitted, like the twin's
+        # `event_type <> 'purchase'`
+        typed = np.asarray(pc.is_valid(et))
         order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, is_p = uid[order], ts[order], eid[order], is_p[order]
+        uid, ts, eid, is_p, typed = (
+            uid[order], ts[order], eid[order], is_p[order], typed[order]
+        )
         n = len(uid)
         idx = np.arange(n, dtype=np.int64)
         # index of the latest purchase at or before each row; shift by
@@ -839,7 +843,7 @@ def q_events_since_last_purchase(sf_dir: str):
         prev_p = np.concatenate(([-1], last_p[:-1]))
         safe = np.maximum(prev_p, 0)
         has = (prev_p >= 0) & (uid[safe] == uid)
-        keep = ~is_p
+        keep = ~is_p & typed
         since = np.where(has, (ts - ts[safe]) // _US, -1)
         return pa.table(
             {

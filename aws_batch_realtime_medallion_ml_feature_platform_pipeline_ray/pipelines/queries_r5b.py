@@ -308,9 +308,9 @@ FROM dev JOIN mad ON mad.lang = dev.lang
 def q_events_type_user_jaccard(sf_dir: str):
     """User-set Jaccard for every event-type pair: which behaviors share
     an audience. NEVER a user-level pair join — one user_id-keyed
-    exchange builds each user's type BITMASK, partitions fold to
-    2^|types| combo counts (≤ 32 rows each), and the pairwise overlap
-    falls out of the inclusion sums on the driver."""
+    exchange builds each user's type BITMASK, partitions fold to counts
+    per observed mask, and the pairwise overlap falls out of the
+    inclusion sums over those masks on the driver."""
     import ray
 
     from ..sources.reads import read_parquet_sized as _r
@@ -395,20 +395,24 @@ def q_events_type_user_jaccard(sf_dir: str):
     import ray
     import ray.data as rd
 
+    # the OBSERVED masks only — at most min(2^|types|, #users) rows;
+    # never a dense 2^|types| array
     tbls = [t for t in ray.get(combo.to_arrow_refs()) if t.num_rows]
-    counts = np.zeros(1 << len(TYPES), dtype=np.int64)
-    for t in tbls:  # ≤ 32 rows total
-        counts[np.asarray(t["mask"].combine_chunks())] += np.asarray(
-            t["cnt"].combine_chunks()
-        )
+    masks = np.concatenate(
+        [np.zeros(0, np.int64)]
+        + [np.asarray(t["mask"].combine_chunks()) for t in tbls]
+    )
+    cnts = np.concatenate(
+        [np.zeros(0, np.int64)]
+        + [np.asarray(t["cnt"].combine_chunks()) for t in tbls]
+    )
+    has = [((masks >> np.int64(a)) & 1) == 1 for a in range(len(TYPES))]
     rows = {"type_a": [], "type_b": [], "n_both": [], "n_either": [],
             "jaccard": []}
-    all_masks = np.arange(1 << len(TYPES))
     for a in range(len(TYPES)):
         for b in range(a + 1, len(TYPES)):
-            ba, bb = 1 << a, 1 << b
-            both = int(counts[(all_masks & ba > 0) & (all_masks & bb > 0)].sum())
-            either = int(counts[(all_masks & (ba | bb)) > 0].sum())
+            both = int(cnts[has[a] & has[b]].sum())
+            either = int(cnts[has[a] | has[b]].sum())
             rows["type_a"].append(TYPES[a])
             rows["type_b"].append(TYPES[b])
             rows["n_both"].append(both)

@@ -229,6 +229,9 @@ class MediaFeaturizer:
             # dispatch by kind: image payloads to the image codec,
             # audio payloads to the audio codec (per-item ranges)
             kinds = np.asarray(batch["kind"].combine_chunks(), dtype=object)
+            unknown = set(kinds) - {"image", "audio"}
+            if unknown:
+                raise ValueError(f"no decoder for media kind(s) {sorted(map(str, unknown))}")
             checksum = np.zeros(len(kinds), dtype=np.int64)
             starts, ends = offsets[:-1], offsets[1:]
             for kname, dec in (("image", self.image), ("audio", self.audio)):

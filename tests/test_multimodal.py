@@ -50,6 +50,21 @@ def test_featurizer_checksums_match_python(ray_session):
         assert out.loc[i, "n_bytes"] == len(raw)
 
 
+def test_real_featurizer_rejects_unknown_kind():
+    """A kind with no decoder fails loudly instead of emitting checksum 0."""
+    import pyarrow as pa
+
+    docs = pa.table({"doc_id": pa.array(range(3), pa.int64()),
+                     "text": pa.array(["a", "bb", "ccc"], pa.string())})
+    media = media_from_documents(docs)
+    media = media.set_column(
+        media.schema.get_field_index("kind"), "kind",
+        pa.array(["image", "video", "audio"], pa.string()),
+    )
+    with pytest.raises(ValueError, match="video"):
+        MediaFeaturizer(use_real_decoder=True)(media)
+
+
 def test_media_pipeline_batch_size_invariance(ray_session):
     a = (
         media_pipeline(SF, concurrency=2, batch_size=16)
