@@ -129,8 +129,9 @@ def main(argv=None) -> int:
     run_stream_help = (
         "bronze → silver → gold → online. One plan: conversations extend "
         "from carried per-partition state; late or conflicting ones are "
-        "recomputed exactly from silver history. Rerunning a crashed "
-        "--run-id resumes it."
+        "recomputed exactly from silver history. Bronze of at most 4 MiB "
+        "runs in one Ray task, larger bronze through one keyed exchange. "
+        "Rerunning a crashed --run-id resumes it."
     )
     s = sub.add_parser("run-stream", help=run_stream_help, description=run_stream_help)
     s.add_argument("--bronze", required=True)

@@ -1,22 +1,32 @@
 """The stream job: bronze → silver → gold → online, resumable + backfillable.
 
 Re-expresses the reference's ``spark_jobs/silver_and_gold.py`` (trace in
-SURVEY.md §3.1) as one Ray Data pipeline with a single hash shuffle:
+SURVEY.md §3.1) as:
 
 1. read bronze parquet for an *ingest* window (arrival time — the
    reference filters event time, :56-59; we window on ``ingest_ts`` so
    late turns are picked up by later runs and backfilled),
-2. normalize + validate + filter (M1-M4, M12) in stateless map_batches,
-3. hash-partition by ``conv_id`` (the one shuffle),
+2. normalize + validate + filter (M1-M4, M12), stateless,
+3. hash-partition by ``conv_id``,
 4. per partition (``incremental.process_partition_incremental``): append
    this run's silver rows, build gold for the run's turns against the
    partition's carried state, merge the rows into the partition's
    ``gold/part=*/dt=*/data.parquet`` files, upsert the online table, and
    commit the new state generation last.
 
-There is one stream plan. A conversation whose new turns all come after
-its carried ``last_ts`` is extended from its carried trailing window
-(:func:`_gold_partition_bounded`). A late turn or a conflicting
+The input's size on disk picks how steps 1-4 run. An input the sized
+read would make one block (``sources.reads.num_blocks_for`` == 1, at most
+``SMALL_BLOCK`` = 4 MiB) — a scheduled window usually is — runs in ONE
+Ray task: read, prepare, split by hash partition locally
+(``stages.keyed.split_by_partition``) and call step 4 on each non-empty
+partition in ascending order. A larger input runs as a Ray Data pipeline
+with one keyed exchange (``groupby(__part).map_groups``). Both plans make
+the same calls on the same partitions and write byte-identical lakes;
+the run record (``run-{id}.json``) names the plan and the input bytes.
+
+Either way there is one gold plan. A conversation whose new turns all
+come after its carried ``last_ts`` is extended from its carried trailing
+window (:func:`_gold_partition_bounded`). A late turn or a conflicting
 redelivery sends its conversation to the exact full recompute over the
 partition's silver history — the blast radius of a late turn is its
 conversation (north-rule B12). A partition with no carried state (the
@@ -45,7 +55,7 @@ import pyarrow.compute as pc
 
 from .. import schema as S
 from ..stages.featurize import GoldConfig, dedup_first, gold_features_partition
-from ..stages.keyed import PART_COL, add_partition_col
+from ..stages.keyed import PART_COL, add_partition_col, split_by_partition
 from ..stages.salted import (
     PREFIX_COL,
     SHARD_COL,
@@ -54,7 +64,7 @@ from ..stages.salted import (
 )
 from ..state import manifest as M
 from ..state import feature_put as FP
-from ..sources.reads import read_parquet_sized
+from ..sources.reads import num_blocks_for, parquet_files, read_parquet_sized
 
 RUN_STAGE_SILVER = "silver"
 RUN_STAGE_GOLD = "gold"
@@ -142,15 +152,15 @@ def run_stream(
     ray_kwargs: dict | None = None,
 ) -> StreamRunResult:
     """Execute one stream run. Returns run metrics (from manifests) plus
-    ``new_rows`` (turns not already in the carried window) and
-    ``late_convs`` (conversations sent to the full recompute).
+    ``new_rows`` (turns not already in the carried window),
+    ``late_convs`` (conversations sent to the full recompute), ``plan``
+    (``"one_task"`` or ``"exchange"``, chosen from the input's size — see
+    the module docstring) and ``input_bytes`` (bronze bytes on disk).
 
     ``num_parts`` is part of the lake's physical layout (conversation →
     partition assignment): it is pinned in ``state/_meta.json`` on the
     first run and later runs must match, else silver and state would
     silently split across partition directories."""
-    from .incremental import process_partition_incremental
-
     silver_root = F.join(out_root, "silver")
     gold_root = F.join(out_root, "gold")
     online_root = F.join(out_root, "online")
@@ -159,36 +169,27 @@ def run_stream(
     # so the fused pass can skip its own dedup step
     cfg = gold_cfg or GoldConfig(dedup=False)
     _pin_num_parts(state_root, num_parts)
+    step = dict(
+        silver_root=silver_root, gold_root=gold_root, online_root=online_root,
+        state_root=state_root, cfg=cfg, run_id=run_id,
+    )
+    prep = dict(processed_at=processed_at, window=ingest_window, num_parts=num_parts)
 
-    ds = read_parquet_sized(bronze_path)
-    ds = ds.map_batches(
-        lambda t: normalize_bronze(
-            t, processed_at=processed_at, window=ingest_window, tag_invalid=True
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    ds = ds.map_batches(
-        lambda t: add_partition_col(t, "conv_id", num_parts),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    stats = (
-        ds.groupby(PART_COL)
-        .map_groups(
-            lambda grp: process_partition_incremental(
-                grp,
-                silver_root=silver_root,
-                gold_root=gold_root,
-                online_root=online_root,
-                state_root=state_root,
-                cfg=cfg,
-                run_id=run_id,
-            ),
-            batch_format="pyarrow",
+    files = parquet_files(bronze_path)
+    input_bytes = sum(size for _, size in files)
+    if files and num_blocks_for(input_bytes) == 1:
+        import ray
+
+        plan = "one_task"
+        rows = ray.get(
+            ray.remote(_run_partitions_one_task).remote(
+                [f for f, _ in files], prep, step
+            )
         )
-        .to_pandas()
-    )
+        stats = pa.concat_tables(rows).to_pandas() if rows else pd.DataFrame()
+    else:
+        plan = "exchange"
+        stats = _run_partitions_exchange(bronze_path, prep, step)
 
     # persist the partitioning so keyed online lookups can route by hash
     F.makedirs(online_root, exist_ok=True)
@@ -202,6 +203,8 @@ def run_stream(
     gold_ms = [M.read_manifest(gold_root, RUN_STAGE_GOLD, k, run_id) for k in keys]
     result = StreamRunResult(
         run_id=run_id,
+        plan=plan,
+        input_bytes=input_bytes,
         partitions=len(stats),
         silver=M.summarize(silver_ms),
         gold=M.summarize(gold_ms),
@@ -212,6 +215,47 @@ def run_stream(
     run_manifest = F.join(out_root, f"run-{run_id}.json")
     F.write_text_atomic(run_manifest, json.dumps(result, indent=1))
     return result
+
+
+def _prepare_bronze(t: pa.Table, *, processed_at, window, num_parts) -> pa.Table:
+    """The stateless steps both plans apply to bronze before the keyed
+    split: window + validity tagging, then the hash-partition column."""
+    t = normalize_bronze(t, processed_at=processed_at, window=window, tag_invalid=True)
+    return add_partition_col(t, "conv_id", num_parts)
+
+
+def _run_partitions_one_task(files: list[str], prep: dict, step: dict) -> list[pa.Table]:
+    """The whole run's partition work in one process, for an input of one
+    block: read, prepare, split by hash partition, and run the per-partition
+    step on each non-empty partition in ascending order — the calls the
+    keyed exchange makes, without the exchange. Returns their metric rows."""
+    from .incremental import process_partition_incremental
+
+    tbl = pa.concat_tables([F.read_table(f) for f in files], promote_options="default")
+    tbl = _prepare_bronze(tbl, **prep)
+    return [process_partition_incremental(g, **step) for g in split_by_partition(tbl)]
+
+
+def _run_partitions_exchange(bronze_path, prep: dict, step: dict) -> pd.DataFrame:
+    """The run's partition work as a Ray Data pipeline: sized read,
+    prepare, one keyed exchange on ``__part``, the per-partition step per
+    group. Returns the metric rows."""
+    from .incremental import process_partition_incremental
+
+    ds = read_parquet_sized(bronze_path)
+    ds = ds.map_batches(
+        lambda t: _prepare_bronze(t, **prep),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return (
+        ds.groupby(PART_COL)
+        .map_groups(
+            lambda grp: process_partition_incremental(grp, **step),
+            batch_format="pyarrow",
+        )
+        .to_pandas()
+    )
 
 
 def _pin_num_parts(state_root: str, num_parts: int) -> None:

@@ -2,8 +2,9 @@
 
 ``medallion_stream`` deterministically synthesizes a bronze transcript
 table (seeded; size scales with the sf dir), runs the complete
-bronze→silver→gold stream job (one shuffle, per-partition atomic writes,
-lineage manifests), and returns the gold layer. The oracle SQL reads the
+bronze→silver→gold stream job (at most one keyed exchange — none for a
+one-block bronze — per-partition atomic writes, lineage manifests), and
+returns the gold layer. The oracle SQL reads the
 *same bronze parquet files* via read_parquet() and recomputes the gold
 semantics in DuckDB — full value-hash parity for the flagship pipeline.
 

@@ -37,10 +37,14 @@ def _cluster_cpus() -> int:
     return os.cpu_count() or 8
 
 
-def _total_bytes(paths) -> int:
+def parquet_files(paths) -> list[tuple[str, int]]:
+    """``(path, bytes on disk)`` of every parquet file under ``paths`` (a
+    file, a directory searched recursively for ``*.parquet``, or a list of
+    either), in the order Ray Data reads them: list order, each directory
+    sorted by path. URI entries keep their scheme."""
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
-    total = 0
+    out: list[tuple[str, int]] = []
     for p in paths:
         p = os.fspath(p)
         if "://" in p:  # URI lake roots (state/fsio.py): size via fsspec
@@ -49,21 +53,28 @@ def _total_bytes(paths) -> int:
             fs, sp = fsspec.core.url_to_fs(p)
             try:
                 if fs.isdir(sp):
-                    for f in fs.glob(sp.rstrip("/") + "/**/*.parquet"):
-                        total += int(fs.info(f).get("size") or 0)
+                    for f in sorted(fs.glob(sp.rstrip("/") + "/**/*.parquet")):
+                        out.append((fs.unstrip_protocol(f), int(fs.info(f).get("size") or 0)))
                 elif fs.exists(sp):
-                    total += int(fs.info(sp).get("size") or 0)
+                    out.append((p, int(fs.info(sp).get("size") or 0)))
             except Exception:
                 pass  # unknown size: the CPU floor decides block count
         elif os.path.isdir(p):
-            for f in glob.iglob(os.path.join(p, "**", "*.parquet"), recursive=True):
-                total += os.path.getsize(f)
+            for f in sorted(glob.iglob(os.path.join(p, "**", "*.parquet"), recursive=True)):
+                out.append((f, os.path.getsize(f)))
         elif os.path.exists(p):
-            total += os.path.getsize(p)
-    return total
+            out.append((p, os.path.getsize(p)))
+    return out
+
+
+def _total_bytes(paths) -> int:
+    return sum(size for _, size in parquet_files(paths))
 
 
 def num_blocks_for(total_bytes: int, cpus: int | None = None) -> int:
+    # Also the engine's plan choice: ``run_stream`` runs an input this
+    # sizes to one block (<= SMALL_BLOCK on disk) as one Ray task with no
+    # keyed exchange, and anything larger through the exchange.
     cpus = cpus or _cluster_cpus()
     by_large = -(-total_bytes // LARGE_BLOCK)  # floor: keep blocks <= 64 MB
     by_small = -(-total_bytes // SMALL_BLOCK)  # ceil candidate: 4 MB blocks

@@ -20,6 +20,18 @@ from functools import partial
 from ..functions.numeric import round6
 
 
+def _pool_size(concurrency: int | None) -> int:
+    """Actor-pool size: the caller's value, else ``min(2, cluster CPUs)``.
+    Each actor holds one CPU for the pool's life, so a fixed pool of two
+    on a one-CPU cluster never schedules its second actor and the
+    pipeline waits forever."""
+    if concurrency is not None:
+        return concurrency
+    from ..sources.reads import _cluster_cpus
+
+    return min(2, _cluster_cpus())
+
+
 def _final_topk_group(g: pa.Table, k: int) -> pa.Table:
     """Per-query final top-k: lexsort (ties -> lower vec_id), rank, round
     sims for oracle parity. Shared by brute-force / self-join / IVF."""
@@ -85,7 +97,7 @@ class _TopKScorer:
         )
 
 
-def knn_bruteforce(ds, query_tbl: pa.Table, k: int = 3, concurrency=2):
+def knn_bruteforce(ds, query_tbl: pa.Table, k: int = 3, concurrency=None):
     """Exact cosine top-k of every query vector over the dataset."""
     import ray
 
@@ -98,7 +110,7 @@ def knn_bruteforce(ds, query_tbl: pa.Table, k: int = 3, concurrency=2):
         fn_constructor_args=(q_ref, k),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
     )
 
     return cand.groupby("q_id").map_groups(
@@ -232,7 +244,7 @@ def embedding_near_dup_ivf(
     *,
     n_lists: int = 8,
     num_parts: int = 8,
-    concurrency=2,
+    concurrency=None,
     seed: int = 42,
 ):
     """All (a < b) pairs with cosine >= threshold — EXACT, via IVF-bucketed
@@ -265,7 +277,7 @@ def embedding_near_dup_ivf(
         fn_constructor_args=(cent_ref,),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
     ).take_all()  # <= n_lists * n_blocks rows
     min_cos = np.full(n_lists, np.inf)
     for row in partials:
@@ -292,7 +304,7 @@ def embedding_near_dup_ivf(
         fn_constructor_args=(state_ref,),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
     )
     return map_partitions_by_key(
         emitted,
@@ -408,7 +420,7 @@ def knn_self_join(ds, k: int = 3, *, n_blocks: int = 4, num_parts: int = 8):
         fn_constructor_args=(n_blocks,),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=2,
+        concurrency=_pool_size(None),
     )
     cand = map_partitions_by_key(
         emitted,
@@ -509,7 +521,7 @@ def knn_ivf(
     *,
     n_lists: int = 16,
     n_probe: int = 4,
-    concurrency=2,
+    concurrency=None,
     seed: int = 42,
 ):
     """Approximate cosine top-k via IVF. ``sample_tbl`` trains the coarse
@@ -531,7 +543,7 @@ def knn_ivf(
         fn_constructor_args=(state_ref, k),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
     )
 
     return cand.groupby("q_id").map_groups(
@@ -615,7 +627,7 @@ def knn_lsh(
     *,
     n_bits: int = 6,
     probe_radius: int = 1,
-    concurrency=2,
+    concurrency=None,
     seed: int = 42,
 ):
     """Approximate cosine top-k via random-hyperplane LSH with
@@ -648,7 +660,7 @@ def knn_lsh(
         fn_constructor_args=(state_ref, k),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
     )
 
     return cand.groupby("q_id").map_groups(

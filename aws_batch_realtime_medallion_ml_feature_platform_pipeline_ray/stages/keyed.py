@@ -1,4 +1,4 @@
-"""The one shuffle: hash-partition by entity key, then whole-partition tasks.
+"""The keyed exchange: hash-partition by entity key, then whole-partition tasks.
 
 Everything wide in the reference is keyed by ``card_id`` (our ``conv_id``):
 dedup, window features, upsert (SURVEY.md §4.2). Instead of per-group
@@ -9,6 +9,14 @@ receives a *whole hash partition* as one Arrow table and runs the fused,
 segmented, vectorized pass over thousands of conversations at once
 (functions/windows.py). One all-to-all exchange serves dedup + sort +
 lag/lead + sessionization + rolling windows + as-of probe.
+
+Size rule: the exchange is for data that does not fit one block. The
+stream job (``pipelines/medallion.run_stream``) skips it when its input is
+one block under the sized-read rule (``sources.reads.num_blocks_for`` ==
+1, at most 4 MiB on disk): one task tags ``__part`` with
+:func:`add_partition_col` and cuts the table with
+:func:`split_by_partition`, the same partitions the exchange would form.
+:func:`map_partitions_by_key` and :func:`cogroup_by_key` always exchange.
 
 Scale note: P should be ~2-4x total cluster cores and sized so one
 partition (~rows/P) fits a worker heap; at 100 TB that is P ~ 1e5-1e6 —
@@ -153,6 +161,22 @@ def hash_key(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
 def add_partition_col(batch: pa.Table, key: str, num_parts: int) -> pa.Table:
     part = (hash_key(batch[key]) % np.uint64(num_parts)).astype(np.int32)
     return batch.append_column(PART_COL, pa.array(part, pa.int32()))
+
+
+def split_by_partition(tbl: pa.Table) -> list[pa.Table]:
+    """The local split: a table tagged by :func:`add_partition_col` cut
+    into its non-empty hash partitions, in ascending ``__part`` order. A
+    stable sort keeps each partition's rows in input order, as the keyed
+    exchange does for one input block, so a per-partition function sees
+    the same table either way."""
+    if not tbl.num_rows:
+        return []
+    part = np.asarray(tbl[PART_COL].combine_chunks())
+    order = np.argsort(part, kind="stable")
+    tbl = tbl.take(pa.array(order))
+    cuts = np.flatnonzero(np.diff(part[order])) + 1
+    bounds = np.concatenate([[0], cuts, [len(order)]])
+    return [tbl.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def map_partitions_by_key(

@@ -14,6 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+from test_stream_plans import force_exchange
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
     bootstrap_lake,
@@ -108,6 +109,7 @@ def test_null_text_counted_as_reject():
 
 
 COMMIT_POINTS = ["silver", "gold_merge", "online", "gold_manifest", "state"]
+PLANS = ["one_task", "exchange"]  # run_stream's plans
 
 
 def _two_windows(tmp_path):
@@ -211,11 +213,14 @@ def _lake_digest(out):
     return got
 
 
-def _assert_crash_recovers(monkeypatch, tmp_path, point):
+def _assert_crash_recovers(monkeypatch, tmp_path, point, plan):
+    if plan == "exchange":
+        force_exchange(monkeypatch)
     b0, b1 = _two_windows(tmp_path)
     ref = str(tmp_path / "ref")
     run_stream(b0, ref, run_id="r0", processed_at=PROCESSED_AT, num_parts=2)
     res = run_stream(b1, ref, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    assert res["plan"] == plan
     assert res["late_convs"] > 0
     assert sum(
         m.extra["lead_patches"]
@@ -226,7 +231,10 @@ def _assert_crash_recovers(monkeypatch, tmp_path, point):
     out = str(tmp_path / "crashed")
     run_stream(b0, out, run_id="r0", processed_at=PROCESSED_AT, num_parts=2)
     assert _crashed_run(monkeypatch, b1, out, "r1", point) == 2
-    run_stream(b1, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    if plan == "exchange":  # _crashed_run undid every patch
+        force_exchange(monkeypatch)
+    res = run_stream(b1, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    assert res["plan"] == plan
 
     want, got = _lake_digest(ref), _lake_digest(out)
     assert sorted(got) == sorted(want)
@@ -236,17 +244,23 @@ def _assert_crash_recovers(monkeypatch, tmp_path, point):
     assert rep["ok"], rep
 
 
-def test_resume_recovers_lost_gold_stage(ray_session, monkeypatch, tmp_path):
+@pytest.mark.parametrize("plan", PLANS)
+def test_resume_recovers_lost_gold_stage(ray_session, monkeypatch, tmp_path, plan):
     """Crash after the silver commit, before any gold write: rerunning
     the same run_id must rebuild gold, online and state exactly (the
     skip is keyed on the state pointer, committed last)."""
-    _assert_crash_recovers(monkeypatch, tmp_path, "silver")
+    _assert_crash_recovers(monkeypatch, tmp_path, "silver", plan)
 
 
-@pytest.mark.parametrize("point", COMMIT_POINTS[1:])
+@pytest.mark.parametrize(
+    "point,plan",
+    # the default (one-task) plan keeps the bare commit-point id
+    [pytest.param(p, "one_task", id=p) for p in COMMIT_POINTS[1:]]
+    + [pytest.param(p, "exchange", id=f"{p}-exchange") for p in COMMIT_POINTS[1:]],
+)
 def test_crash_at_commit_point_then_rerun_is_exact(ray_session, monkeypatch,
-                                                   tmp_path, point):
-    _assert_crash_recovers(monkeypatch, tmp_path, point)
+                                                   tmp_path, point, plan):
+    _assert_crash_recovers(monkeypatch, tmp_path, point, plan)
 
 
 def test_retention_survives_recompute(ray_session, tmp_path):
