@@ -47,9 +47,9 @@ __all__ = [
     "windowed_count",
     "windowed_sum",
     "windowed_count_where",
-    "windowed_sum_where",
     "prev_same_value",
     "windowed_distinct",
+    "segmented_maximum_accumulate",
     "lag_within",
     "lead_within",
     "sessionize",
@@ -140,13 +140,6 @@ def windowed_count_where(mask: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.n
     return cs[r] - cs[l]
 
 
-def windowed_sum_where(
-    x: np.ndarray, mask: np.ndarray, l: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    cs = _prefix(np.where(mask, x, 0.0), np.float64)
-    return cs[r] - cs[l]
-
-
 def prev_same_value(codes: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For the subsequence of valid rows, the previous *global* index holding
     the same value code (-1 if none). Returns ``(idx, prev)`` where ``idx``
@@ -196,6 +189,31 @@ def windowed_distinct(
     np.add.at(diff, a[good], 1)
     np.add.at(diff, b[good], -1)
     np.cumsum(diff[:-1], out=out)
+    return out
+
+
+def segmented_maximum_accumulate(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
+    """np.maximum.accumulate restarted at each segment start, for
+    values >= -1 (-1 = "none yet")."""
+    n = len(x)
+    if n == 0:
+        return x
+    lo = np.int64(np.iinfo(np.int64).min // 4)
+    # offset trick: add a huge per-segment ramp so maxima never cross segs
+    seg_id = np.cumsum(seg_start, dtype=np.int64) - 1
+    # x values are small — offset by seg_id * big
+    big = np.int64(1) << np.int64(40)
+    n_seg = int(seg_id[-1]) + 1
+    if n_seg * int(big) + max(int(x.max(initial=0)), 0) >= (1 << 62):
+        # same explicit guard as adjusted_ts — numpy int64 wraps
+        # silently past this (ADVICE r1)
+        raise OverflowError(
+            f"segment offset ramp would overflow int64: {n_seg} segments"
+        )
+    shifted = x.astype(np.int64) + seg_id * big
+    acc = np.maximum.accumulate(np.where(x == -1, lo + seg_id * big, shifted))
+    out = acc - seg_id * big
+    out[out < -1] = -1
     return out
 
 

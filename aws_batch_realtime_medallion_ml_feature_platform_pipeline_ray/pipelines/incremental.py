@@ -268,10 +268,9 @@ def process_partition_incremental(
 
     # ---- 5. state: trailing window + summary + tail keys, committed by
     # one atomic pointer swap ----
-    max_delta = max(cfg.w_short, cfg.w_distinct, cfg.w_long)
     _write_state(
         state_dir, run_id, window, extend, hist, recomputed, summary, gold_out,
-        tails, pointer, max_delta, gold_rows,
+        tails, pointer, gold_rows,
     )
     return _metrics(part, fresh.num_rows, len(late_convs))
 
@@ -436,7 +435,7 @@ def _lead_patches(tails: pa.Table, window: pa.Table, harvested: pa.Table) -> pa.
 
 def _write_state(
     state_dir, run_id, window, extend, hist, recomputed, summary, gold_out,
-    tails, pointer, max_delta, gold_rows,
+    tails, pointer, gold_rows,
 ) -> None:
     """Roll the partition state and commit it with one atomic pointer
     swap (versioned files + ``_current.json``): a crash between writes or
@@ -460,7 +459,7 @@ def _write_state(
     new = {"run_id": run_id, "gold": gold_rows}
     allr = pa.concat_tables(parts, promote_options="default") if parts else None
     if allr is not None and allr.num_rows:
-        # trailing window per conv: keep rows with ts >= conv_last - max_delta
+        # trailing window per conv: keep rows with ts >= conv_last - Δmax
         conv = allr["conv_id"].combine_chunks()
         codes = np.asarray(pc.dictionary_encode(conv).indices).astype(np.int64)
         ts = np.asarray(allr["ts"].combine_chunks().cast(pa.int64()))
@@ -468,7 +467,7 @@ def _write_state(
         np.maximum.at(last, codes, ts)
         new["rows"] = f"rows-{run_id}.parquet"
         M.atomic_write_table(
-            allr.filter(pa.array(ts >= last[codes] - max_delta)),
+            allr.filter(pa.array(ts >= last[codes] - S.MAX_WINDOW_US)),
             F.join(state_dir, new["rows"]),
         )
     new["summary"] = f"summary-{run_id}.parquet"
@@ -518,5 +517,5 @@ def read_gold_incremental(out_root: str) -> pa.Table:
     table."""
     files = sorted(F.glob(F.join(out_root, "gold", "part=*", "dt=*", "data.parquet")))
     if not files:
-        return gold_features_partition(S.SILVER.empty_table(), GoldConfig(dedup=False))
+        return S.GOLD.empty_table()
     return pa.concat_tables([F.read_table(f) for f in files], promote_options="default")

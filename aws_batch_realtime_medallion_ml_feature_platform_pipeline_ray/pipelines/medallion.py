@@ -44,6 +44,7 @@ converges to the same outputs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from ..state import fsio as F
@@ -54,7 +55,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
-from ..stages.featurize import GoldConfig, dedup_first, gold_features_partition
+from ..stages.featurize import (
+    GoldConfig,
+    dedup_first,
+    gold_features_partition,
+    gold_schema,
+)
 from ..stages.keyed import PART_COL, add_partition_col, split_by_partition
 from ..stages.salted import (
     PREFIX_COL,
@@ -383,7 +389,7 @@ def _gold_partition_bounded(
     """Gold rows for turns that extend conversations past their carried
     ``last_ts``, from the carried state alone. Exactness argument:
 
-    - every trailing window is <= Δmax = max(w_short, w_distinct, w_long),
+    - every trailing window is <= Δmax = ``schema.MAX_WINDOW_US``,
       and ``window`` holds each conversation's last Δmax of silver rows,
       so it enters the fused pass as ``__prefix=1`` context — the same
       machinery as the salted shard overlap (stages/salted.py) — and
@@ -405,12 +411,9 @@ def _gold_partition_bounded(
             parts.append(_tag(prefix.select(silver_cols), prefix=1))
     parts.append(_tag(new.select(silver_cols), prefix=0))
     combined = pa.concat_tables(parts, promote_options="default")
-    cfg_inc = GoldConfig(
-        gap_us=cfg.gap_us, w_short=cfg.w_short, w_distinct=cfg.w_distinct,
-        w_long=cfg.w_long, role_counts=cfg.role_counts,
-        compute_turn_idx=False, keep_text=cfg.keep_text, dedup=False,
+    phase_a = gold_partition_phase_a(
+        combined, dataclasses.replace(cfg, compute_turn_idx=False, dedup=False)
     )
-    phase_a = gold_partition_phase_a(combined, cfg_inc)
     # corrections only for ACTIVE convs — per-run work scales with the
     # batch, not with every conversation ever seen
     corr = _summary_to_corrections(
@@ -910,15 +913,13 @@ def gold_snapshot(out_root: str, as_of: float, *, gold_cfg: GoldConfig | None = 
     )
     if ds is not None:
         return ds
-    from ..schema import SILVER
-
-    return rd.from_arrow(gold_features_partition(SILVER.empty_table(), cfg))
+    return rd.from_arrow(gold_schema(cfg.role_counts).empty_table())
 
 
 def read_online(out_root: str) -> pa.Table:
     files = sorted(F.glob(F.join(out_root, "online", "part=*", "data.parquet")))
     if not files:  # pre-bootstrap / wiped lake: empty typed table
-        return pa.table({f.name: pa.array([], f.type) for f in S.GOLD})
+        return S.GOLD.empty_table()
     return pa.concat_tables([F.read_table(f) for f in files])
 
 
@@ -945,7 +946,7 @@ def lookup_online(out_root: str, conv_ids: list[str]) -> pa.Table:
         t = F.read_table(f)
         tables.append(t.filter(pc.is_in(t["conv_id"], value_set=ids_arr)))
     if not tables:
-        return pa.table({f.name: pa.array([], f.type) for f in S.GOLD})
+        return S.GOLD.empty_table()
     return pa.concat_tables(tables)
 
 
@@ -969,7 +970,7 @@ def bootstrap_lake(out_root: str) -> dict:
     # populated lake must never wipe live online rows in partition 0
     online_seed = F.join(online_root, "part=00000", "data.parquet")
     if not F.exists(online_seed):
-        empty = pa.table({f.name: pa.array([], f.type) for f in S.GOLD})
+        empty = S.GOLD.empty_table()
         M.atomic_write_table(empty, online_seed)
     meta_path = F.join(online_root, "_meta.json")
     if not F.exists(meta_path):

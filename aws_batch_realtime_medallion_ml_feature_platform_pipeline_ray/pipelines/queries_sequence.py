@@ -380,13 +380,13 @@ def q_events_max_drawdown(sf_dir: str):
 
     Plan: ONE user_id-keyed exchange; within each sorted partition the
     running peak is a single segmented maximum-accumulate
-    (stages/salted helper), drawdown/max are pure int64 numpy — no
+    (functions/windows helper), drawdown/max are pure int64 numpy — no
     per-user Python."""
     from ray.data.aggregate import Max
 
     from ..functions.numeric import round_half_away
     from ..stages.keyed import fold_by_keys
-    from ..stages.salted import _segmented_maximum_accumulate
+    from ..functions.windows import segmented_maximum_accumulate
 
     ds = read_parquet_sized(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
@@ -419,7 +419,7 @@ def q_events_max_drawdown(sf_dir: str):
         seg[1:] = u[1:] != u[:-1]
         # all rows of a user share this partition, so the running peak is
         # complete — partials per user are (max drawdown, count)
-        peak = _segmented_maximum_accumulate(cs, seg)
+        peak = segmented_maximum_accumulate(cs, seg)
         dd = peak - cs
         starts = np.flatnonzero(seg)
         return pa.table(

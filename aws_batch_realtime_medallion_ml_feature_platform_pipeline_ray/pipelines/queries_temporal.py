@@ -19,11 +19,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.windows import segment_bounds
+from ..functions.windows import segment_bounds, segmented_maximum_accumulate
 from ..sources.reads import read_parquet_sized
 from ..stages.asof import asof_join_broadcast, asof_join_partitioned
 from ..stages.keyed import map_partitions_by_key
-from ..stages.salted import _segmented_maximum_accumulate
 
 NUM_PARTS = None  # derived: stages/keyed.derive_num_parts
 
@@ -273,7 +272,7 @@ def q_features_cummax(sf_dir: str):
         seg_start = np.empty(len(cust_s), dtype=bool)
         seg_start[0] = True
         seg_start[1:] = cust_s[1:] != cust_s[:-1]
-        run = _segmented_maximum_accumulate(cents[order], seg_start)
+        run = segmented_maximum_accumulate(cents[order], seg_start)
         return pa.table(
             {
                 "o_orderkey": pa.array(okey[order], pa.int64()),

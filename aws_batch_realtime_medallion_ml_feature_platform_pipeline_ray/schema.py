@@ -79,6 +79,9 @@ US_PER_S = 1_000_000
 H1 = 3_600 * US_PER_S
 H24 = 24 * H1
 D7 = 7 * H24
+# the gold trailing windows: turns_1h/chars_1h/<role>_turns_1h over H1,
+# tool_count_24h over H24, avg_chars_7d over D7
+MAX_WINDOW_US = max(H1, H24, D7)
 SESSION_GAP_S = 1_800
 SESSION_GAP_US = SESSION_GAP_S * US_PER_S
 

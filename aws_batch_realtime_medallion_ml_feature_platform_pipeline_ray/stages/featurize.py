@@ -8,6 +8,16 @@ extensions (lag/lead, gap sessionization, per-role rolling counts) runs as
 ONE sorted, segmented, fully-vectorized numpy pass — no per-conversation
 Python loop, no second shuffle.
 
+That pass, :func:`_gold_pass`, is the only copy of the gold kernel. It
+serves two entry points: :func:`gold_features_partition` on an untagged
+partition, and ``salted.gold_partition_phase_a`` on a tagged one, where
+``__shard`` joins ``conv_id`` in the segment key and ``__prefix`` rows
+(a salted shard's overlap copies, or the stream's carried trailing
+window) feed window, lag and session state without being emitted. The
+window widths are fixed by the gold column names: ``schema.H1``
+(``turns_1h``, ``chars_1h``, ``<role>_turns_1h``), ``schema.H24``
+(``tool_count_24h``) and ``schema.D7`` (``avg_chars_7d``).
+
 Window semantics (parity-critical, SURVEY.md §7.3):
 - trailing RANGE frame ``ts' in [ts - delta, ts]`` inclusive both ends,
   duplicate-ts peers included (Spark/DuckDB RANGE ... CURRENT ROW);
@@ -21,7 +31,9 @@ Window semantics (parity-critical, SURVEY.md §7.3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -31,27 +43,8 @@ from ..functions import windows as W
 from .. import schema as S
 
 TS_NULL = np.int64(np.iinfo(np.int64).min)
-
-
-def _sort_partition(
-    tbl: pa.Table, key: str, ts_col: str, tiebreak: str | None
-) -> tuple[pa.Table, np.ndarray, np.ndarray]:
-    """Sort a partition by (key, ts, tiebreak) and return
-    (sorted_table, ts_int64, seg_start)."""
-    key_codes = pc.dictionary_encode(tbl[key].combine_chunks()).indices
-    kc = np.asarray(key_codes).astype(np.int64)
-    ts = np.asarray(tbl[ts_col].combine_chunks().cast(pa.int64()))
-    keys = [ts, kc] if tiebreak is None else [
-        np.asarray(tbl[tiebreak].combine_chunks().cast(pa.int64())),
-        ts,
-        kc,
-    ]
-    order = np.lexsort(keys)
-    out = tbl.take(pa.array(order))
-    kc = kc[order]
-    ts = ts[order]
-    seg_start = W.segment_starts(kc)
-    return out, ts, seg_start
+SHARD_COL = "__shard"     # int64 segment key next to conv_id in tagged tables
+PREFIX_COL = "__prefix"   # int8: 1 = context row (window/lag/session state only)
 
 
 def dedup_first(
@@ -96,15 +89,22 @@ def dedup_first(
 @dataclass
 class GoldConfig:
     gap_us: int = S.SESSION_GAP_US
-    w_short: int = S.H1
-    w_distinct: int = S.H24
-    w_long: int = S.D7
     role_counts: tuple[str, ...] = ("user", "assistant")
     compute_turn_idx: bool = False  # derive turn_idx as row_number when absent
     tiebreak_col: str | None = None  # sort tiebreaker when computing turn_idx
-    keep_text: bool = True
     dedup: bool = True
-    extra_passthrough: tuple[str, ...] = field(default_factory=tuple)
+
+
+@functools.cache  # one schema per role tuple, not one per partition
+def gold_schema(role_counts: tuple[str, ...]) -> pa.Schema:
+    """The gold layout (``schema.GOLD``) with one ``<role>_turns_1h``
+    column per entry of ``role_counts``; empty and non-empty partitions
+    both take their schema from here."""
+    fields = list(S.GOLD)
+    lo = S.GOLD.get_field_index("user_turns_1h")
+    hi = S.GOLD.get_field_index("lag1_ts")
+    roles = [pa.field(f"{rv}_turns_1h", pa.int64()) for rv in role_counts]
+    return pa.schema(fields[:lo] + roles + fields[hi:])
 
 
 def gold_features_partition(tbl: pa.Table, cfg: GoldConfig = GoldConfig()) -> pa.Table:
@@ -115,132 +115,163 @@ def gold_features_partition(tbl: pa.Table, cfg: GoldConfig = GoldConfig()) -> pa
     value order) and sorted by (ts, turn_idx) within each conversation;
     consumers needing a global order sort explicitly."""
     if tbl.num_rows == 0:
-        return _empty_gold(cfg, tbl.schema)
+        return gold_schema(cfg.role_counts).empty_table()
+    return _gold_pass(tbl, cfg, tagged=False)[0]
 
+
+class _Emitted(NamedTuple):
+    """Per emitted row of :func:`_gold_pass`, the segment state the salted
+    stitch needs beyond the gold columns. A segment is one conversation
+    (untagged) or one ``(conv_id, __shard)`` pair (tagged)."""
+
+    seg_id: np.ndarray       # non-decreasing segment id
+    shard: np.ndarray | None  # __shard value; None when untagged
+    ridx: np.ndarray         # index among the segment's emitted rows
+    b: np.ndarray            # session breaks so far among them
+    sturn: np.ndarray        # session_turn_idx (== ridx while b == 0)
+    ts: np.ndarray           # int64 µs
+    seg_has_prefix: np.ndarray  # the segment held __prefix rows
+
+
+def _gold_pass(
+    tbl: pa.Table, cfg: GoldConfig, tagged: bool
+) -> tuple[pa.Table, _Emitted]:
+    """The fused pass: one sort by ``(conv_id[, __shard], ts, tiebreak)``,
+    then trailing windows, lag/lead, sessions and turn index for every
+    row at once. A ``tagged`` table carries ``__shard`` (part of the
+    segment key) and ``__prefix``: prefix rows feed window, lag and
+    session state but are not emitted. Returns the gold table of the
+    emitted rows and their :class:`_Emitted` state."""
+    seg_keys = ["conv_id", SHARD_COL] if tagged else ["conv_id"]
     if cfg.dedup and not cfg.compute_turn_idx:
         order_cols = ["ts"] + (["ingest_ts"] if "ingest_ts" in tbl.column_names else [])
-        tbl = dedup_first(tbl, ["conv_id", "turn_idx"], order_cols)
+        extra = [PREFIX_COL] if tagged else []
+        tbl = dedup_first(tbl, seg_keys + ["turn_idx"] + extra, order_cols)
 
+    # ---- sort; prefix rows precede the real rows of their segment ----
+    conv = np.asarray(
+        pc.dictionary_encode(tbl["conv_id"].combine_chunks()).indices
+    ).astype(np.int64)
+    ts = _int64(tbl["ts"])
     tiebreak = cfg.tiebreak_col if cfg.compute_turn_idx else "turn_idx"
-    tbl, ts, seg_start = _sort_partition(tbl, "conv_id", "ts", tiebreak)
-    n = tbl.num_rows
+    shard = _int64(tbl[SHARD_COL]) if tagged else None
+    keys = [ts] + ([shard] if tagged else []) + [conv]
+    if tiebreak is not None:  # compute_turn_idx may leave it unset
+        keys.insert(0, _int64(tbl[tiebreak]))
+    order = np.lexsort(keys)
+    tbl = tbl.take(pa.array(order))
+    ts = ts[order]
+    seg_start = W.segment_starts(conv[order])
+    if tagged:
+        shard = shard[order]
+        seg_start |= W.segment_starts(shard)
+        real = ~np.asarray(tbl[PREFIX_COL].combine_chunks()).astype(bool)
+    else:
+        real = np.ones(len(ts), dtype=bool)
+    n = len(ts)
     seg_id = W.segment_ids(seg_start)
 
-    if cfg.compute_turn_idx:
-        arange = np.arange(n, dtype=np.int64)
-        seg_first = np.maximum.accumulate(np.where(seg_start, arange, 0))
-        turn_idx = (arange - seg_first).astype(np.int32)
-    else:
-        turn_idx = np.asarray(tbl["turn_idx"].combine_chunks().cast(pa.int32()))
-
-    max_delta = max(cfg.w_short, cfg.w_distinct, cfg.w_long)
-    ts_adj = W.adjusted_ts(ts, seg_id, max_delta)
-
-    text = tbl["text"].combine_chunks()
+    # ---- trailing windows over all rows ----
+    ts_adj = W.adjusted_ts(ts, seg_id, S.MAX_WINDOW_US)
     # fill_null(0): one null text must not become NaN — the prefix-sum
     # windowed_sum would poison chars_1h/avg_chars_7d for EVERY later row
     # in the partition (and DuckDB's SUM skips NULLs, i.e. counts 0)
     chars = np.asarray(
-        pc.utf8_length(text).cast(pa.int64()).fill_null(0)
+        pc.utf8_length(tbl["text"].combine_chunks()).cast(pa.int64()).fill_null(0)
     ).astype(np.float64)
-    role = tbl["role"].combine_chunks()
-
-    l1, r1 = W.trailing_bounds(ts_adj, cfg.w_short)
-    l24, r24 = W.trailing_bounds(ts_adj, cfg.w_distinct)
-    l7, r7 = W.trailing_bounds(ts_adj, cfg.w_long)
-
-    turns_1h = W.windowed_count(l1, r1)
-    chars_1h = W.windowed_sum(chars, l1, r1)
-    cnt7 = W.windowed_count(l7, r7)
-    avg_chars_7d = W.windowed_sum(chars, l7, r7) / cnt7
-
+    l1, r1 = W.trailing_bounds(ts_adj, S.H1)
+    l24, r24 = W.trailing_bounds(ts_adj, S.H24)
+    l7, r7 = W.trailing_bounds(ts_adj, S.D7)
     tool = tbl["tool"].combine_chunks()
-    tool_valid = np.asarray(pc.is_valid(tool))
-    tool_codes = np.asarray(pc.dictionary_encode(tool).indices.fill_null(-1)).astype(
-        np.int64
-    )
-    tool_count_24h = W.windowed_distinct(tool_codes, tool_valid, l24, r24)
+    tool_codes = np.asarray(
+        pc.dictionary_encode(tool).indices.fill_null(-1)
+    ).astype(np.int64)
+    role = tbl["role"].combine_chunks()
+    windows = [
+        W.windowed_count(l1, r1),  # turns_1h
+        W.windowed_sum(chars, l1, r1),  # chars_1h
+        W.windowed_distinct(  # tool_count_24h
+            tool_codes, np.asarray(pc.is_valid(tool)), l24, r24
+        ),
+        W.windowed_sum(chars, l7, r7) / W.windowed_count(l7, r7),  # avg_chars_7d
+    ] + [
+        W.windowed_count_where(np.asarray(pc.equal(role, rv).fill_null(False)), l1, r1)
+        for rv in cfg.role_counts
+    ]
 
-    role_cols = {}
-    for rv in cfg.role_counts:
-        mask = np.asarray(pc.equal(role, rv).fill_null(False))
-        role_cols[f"{rv}_turns_1h"] = W.windowed_count_where(mask, l1, r1)
-
+    # ---- lag/lead/gap over all rows (prefix rows are true predecessors) --
     lag1 = W.lag_within(ts, seg_start, TS_NULL)
     lead1 = W.lead_within(ts, seg_start, TS_NULL)
-    session_id, session_turn_idx, gap_prev = W.sessionize(ts, seg_start, cfg.gap_us)
-    gap_null = gap_prev < 0
-    gap_s = pa.array(
-        np.where(gap_null, 0, gap_prev).astype(np.float64) / S.US_PER_S,
-        pa.float64(),
-        mask=gap_null,
+    gap_prev = np.empty(n, dtype=np.int64)
+    gap_prev[1:] = ts[1:] - ts[:-1]
+    gap_prev[seg_start] = -1
+
+    # ---- numbering among emitted rows: turn index, session breaks ----
+    arange = np.arange(n, dtype=np.int64)
+    seg_first = np.maximum.accumulate(np.where(seg_start, arange, 0))
+    cum = np.cumsum(real, dtype=np.int64)
+    ridx = cum - (cum[seg_first] - real[seg_first]) - 1
+    br = real & (seg_start | (gap_prev > cfg.gap_us))
+    cum = np.cumsum(br, dtype=np.int64)
+    b = cum - (cum[seg_first] - br[seg_first])
+    # b > 0 means the segment's last break so far lies in this segment
+    last_br = np.maximum.accumulate(np.where(br, arange, 0))
+    sturn = np.where(b > 0, ridx - ridx[last_br], ridx)
+    if cfg.compute_turn_idx:
+        turn_idx = ridx.astype(np.int32)
+    else:
+        turn_idx = np.asarray(tbl["turn_idx"].combine_chunks().cast(pa.int32()))
+
+    # ---- emit real rows ----
+    has_prefix = np.zeros(int(seg_id[-1]) + 1, dtype=bool)
+    has_prefix[seg_id[~real]] = True
+    if real.all():
+        keep, out = slice(None), tbl
+    else:
+        keep = np.flatnonzero(real)
+        out = tbl.take(pa.array(keep))
+    ts_r, gap_r, b_r = ts[keep], gap_prev[keep], b[keep]
+    ts_arr = pa.array(ts_r, pa.int64()).cast(pa.timestamp("us"))
+    gap_null = gap_r < 0
+    arrays = [
+        out["conv_id"],
+        pa.array(turn_idx[keep], pa.int32()),
+        out["role"],
+        out["tool"],
+        out["text"],
+        ts_arr,
+        pc.strftime(ts_arr, format="%Y-%m-%d"),
+        pa.array(ts_r.astype(np.float64) / S.US_PER_S),
+        *(pa.array(w[keep]) for w in windows),
+        _ts_with_null(lag1[keep]),
+        _ts_with_null(lead1[keep]),
+        pa.array(
+            np.where(gap_null, 0, gap_r).astype(np.float64) / S.US_PER_S,
+            pa.float64(),
+            mask=gap_null,
+        ),
+        pa.array(b_r - 1, pa.int64()),
+        pa.array(sturn[keep].astype(np.int32), pa.int32()),
+    ]
+    gold = pa.Table.from_arrays(arrays, schema=gold_schema(cfg.role_counts))
+    seg_r = seg_id[keep]
+    return gold, _Emitted(
+        seg_id=seg_r,
+        shard=None if shard is None else shard[keep],
+        ridx=ridx[keep],
+        b=b_r,
+        sturn=sturn[keep],
+        ts=ts_r,
+        seg_has_prefix=has_prefix[seg_r],
     )
 
-    ts_arr = pa.array(ts, pa.int64()).cast(pa.timestamp("us"))
-    dt = pc.strftime(ts_arr, format="%Y-%m-%d")
-    event_time = ts.astype(np.float64) / S.US_PER_S
 
-    cols: dict[str, pa.Array | pa.ChunkedArray] = {
-        "conv_id": tbl["conv_id"],
-        "turn_idx": pa.array(turn_idx, pa.int32()),
-        "role": role,
-    }
-    cols["tool"] = tool
-    if cfg.keep_text:
-        cols["text"] = text
-    cols.update(
-        {
-            "ts": ts_arr,
-            "dt": dt,
-            "event_time": pa.array(event_time),
-            "turns_1h": pa.array(turns_1h),
-            "chars_1h": pa.array(chars_1h),
-            "tool_count_24h": pa.array(tool_count_24h),
-            "avg_chars_7d": pa.array(avg_chars_7d),
-        }
-    )
-    for name, arr in role_cols.items():
-        cols[name] = pa.array(arr)
-    cols["lag1_ts"] = _ts_with_null(lag1)
-    cols["lead1_ts"] = _ts_with_null(lead1)
-    cols["gap_s"] = gap_s
-    cols["session_id"] = pa.array(session_id, pa.int64())
-    cols["session_turn_idx"] = pa.array(session_turn_idx, pa.int32())
-    for c in cfg.extra_passthrough:
-        cols[c] = tbl[c]
-    return pa.table(cols)
+def _int64(col: pa.ChunkedArray) -> np.ndarray:
+    return np.asarray(col.combine_chunks().cast(pa.int64()))
 
 
 def _ts_with_null(vals: np.ndarray) -> pa.Array:
     mask = vals == TS_NULL
     return pa.array(np.where(mask, 0, vals), pa.int64(), mask=mask).cast(
         pa.timestamp("us")
-    )
-
-
-def _empty_gold(cfg: GoldConfig, src_schema: pa.Schema | None = None) -> pa.Table:
-    names = ["conv_id", "turn_idx", "role", "tool"]
-    types = [pa.string(), pa.int32(), pa.string(), pa.string()]
-    if cfg.keep_text:
-        names.append("text")
-        types.append(pa.string())
-    names += ["ts", "dt", "event_time", "turns_1h", "chars_1h", "tool_count_24h",
-              "avg_chars_7d"]
-    types += [pa.timestamp("us"), pa.string(), pa.float64(), pa.int64(),
-              pa.float64(), pa.int64(), pa.float64()]
-    for rv in cfg.role_counts:
-        names.append(f"{rv}_turns_1h")
-        types.append(pa.int64())
-    names += ["lag1_ts", "lead1_ts", "gap_s", "session_id", "session_turn_idx"]
-    types += [pa.timestamp("us"), pa.timestamp("us"), pa.float64(), pa.int64(),
-              pa.int32()]
-    # passthrough columns must appear here too, or an empty partition's
-    # schema diverges from non-empty ones and the block union fails
-    for c in cfg.extra_passthrough:
-        names.append(c)
-        types.append(
-            src_schema.field(c).type if src_schema is not None else pa.string()
-        )
-    return pa.table(
-        {n: pa.array([], t) for n, t in zip(names, types)}
     )

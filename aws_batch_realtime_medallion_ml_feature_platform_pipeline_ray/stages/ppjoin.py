@@ -67,7 +67,6 @@ __all__ = [
     "gram_df_front",
     "candidate_doc_ids",
     "filter_docs",
-    "route_verify",
     "verify_pairs",
     "select_prefix",
     "select_prefix_flagged",
@@ -845,13 +844,6 @@ cogroup wins (volume scales with candidates, not with a driver-held
 array)."""
 
 
-def route_verify(n_candidates: int,
-                 limit: int = BROADCAST_CAND_LIMIT) -> str:
-    """Plan choice for the exact verify — mirrors skew_aware_join's
-    measured-count routing (VERDICT r4 §next-7)."""
-    return "broadcast" if n_candidates <= limit else "cogroup"
-
-
 def verify_pairs(
     dfd,
     cand,
@@ -861,15 +853,15 @@ def verify_pairs(
     num_parts: int | None = None,
     *,
     n_docs: int | None = None,
-    broadcast_limit: int = BROADCAST_CAND_LIMIT,
-    force_path: str | None = None,
 ):
     """Exact candidate verification with AUTOMATIC plan routing.
 
     ``dfd`` is the materialized :func:`gram_df_front` relation
     (doc_id, gh, df, dn); ``cand`` the expanded candidate pairs
     (pair, s_lo, s_hi). The candidate count (one metadata read after a
-    distributed materialize) picks the plan via :func:`route_verify`:
+    distributed materialize) picks the plan against
+    :data:`BROADCAST_CAND_LIMIT` — the same measured-count routing as
+    skew_aware_join (VERDICT r4 §next-7):
 
     - **broadcast** (small candidate sets — the common case): pairs +
       sizes ``ray.put`` once; dfd is FILTERED to candidate docs before
@@ -892,7 +884,8 @@ def verify_pairs(
     if weighted and n_docs is None:
         raise ValueError("wjaccard verify requires n_docs")
     cand = cand.materialize()
-    path = force_path or route_verify(cand.count(), broadcast_limit)
+    # read at call time, not bound as a default, so a changed limit applies
+    path = "broadcast" if cand.count() <= BROADCAST_CAND_LIMIT else "cogroup"
 
     if path == "broadcast":
         ct = collect_candidates(cand, ("s_lo", "s_hi"))

@@ -83,15 +83,12 @@ def _succ_startswith(sorted_texts: pa.Array) -> np.ndarray:
 
 
 def prefix_dup_flags(docs, text_col: str, out_col: str, *,
-                     k: int = PFX_K, num_parts: int | None = None,
-                     cohort_broadcast_limit: int = COHORT_BROADCAST_LIMIT,
-                     force_cohort_path: str | None = None):
+                     k: int = PFX_K, num_parts: int | None = None):
     """(doc_id, <text_col>) dataset → (doc_id, <out_col>: int64) where 1
     marks docs whose text is a strict-or-equal prefix of ANOTHER doc's
     text. Plan per module docstring. For suffix dups, reverse the text
-    in ``docs`` first — the machinery is order-agnostic.
-    ``force_cohort_path`` ∈ {"broadcast", "cogroup"} pins the text
-    attach plan for tests; default is the cohort-size auto-route."""
+    in ``docs`` first — the machinery is order-agnostic. The text attach
+    plan routes on the cohort size against ``COHORT_BROADCAST_LIMIT``."""
     import ray
 
     from .keyed import map_partitions_by_key
@@ -250,12 +247,9 @@ def prefix_dup_flags(docs, text_col: str, out_col: str, *,
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-    if force_cohort_path not in (None, "broadcast", "cogroup"):
-        raise ValueError(f"unknown cohort path {force_cohort_path!r}")
     n_cohort = cohort_rows.count()  # metadata on materialized
-    path = force_cohort_path or (
-        "broadcast" if n_cohort <= cohort_broadcast_limit else "cogroup"
-    )
+    # read at call time, not bound as a default, so a changed limit applies
+    path = "broadcast" if n_cohort <= COHORT_BROADCAST_LIMIT else "cogroup"
 
     def _with_pk(kept_ids: pa.Array, txt) -> pa.Table:
         pk = pc.utf8_slice_codeunits(txt, 0, k)

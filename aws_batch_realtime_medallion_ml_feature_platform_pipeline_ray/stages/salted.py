@@ -28,13 +28,17 @@ medallion pipeline dedups upstream of salting, so this only affects
 direct salted runs over raw bronze.
 
 Everything is one extra small driver round-trip vs the unsalted pass:
-tag(+overlap copies) → one shuffle → Phase A (fused vectorized pass with
-embedded summaries) → collect summaries (tiny) → stitch map. Non-hot
-conversations take the identical code path with a whole-conv "shard" and
-no corrections, so salted output == unsalted output bit-for-bit.
+tag(+overlap copies) → one shuffle → Phase A (the fused pass of
+stages/featurize.py on the tagged table, plus embedded summaries) →
+collect summaries (tiny) → stitch map. Non-hot conversations take the
+identical code path — the same fused pass, with a whole-conv "shard" and
+no corrections — so salted output == unsalted output bit-for-bit. This
+module holds only the tagging, the shard summaries and the stitch.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -43,11 +47,19 @@ import pyarrow.compute as pc
 
 from .. import schema as S
 from ..functions import windows as W
-from .featurize import GoldConfig, TS_NULL, dedup_first, _ts_with_null
+from .featurize import (
+    PREFIX_COL,
+    SHARD_COL,
+    TS_NULL,
+    GoldConfig,
+    _gold_pass,
+    _ts_with_null,
+    gold_schema,
+)
 from .keyed import PART_COL, hash_key, splitmix64, tune_shuffle_context
 
-SHARD_COL = "__shard"     # int64 time-bucket id; NON_SALTED for cold convs
-PREFIX_COL = "__prefix"   # int8: 1 = overlap copy (window state only)
+# SHARD_COL holds the time-bucket id of a hot row, NON_SALTED for cold
+# convs; PREFIX_COL = 1 marks an overlap copy (window state only)
 NON_SALTED = np.int64(-1)
 _BUCKET_MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -58,6 +70,7 @@ _SUM_COLS = (
     "__sum_n_real", "__sum_breaks", "__sum_trail",
     "__sum_first_ts", "__sum_last_ts", "__sum_no_prefix",
 )
+_SUM_TYPES = (pa.int64(),) * 5 + (pa.int8(),)
 _INTERNAL = (SHARD_COL, _RIDX, _B) + _SUM_COLS
 
 
@@ -155,259 +168,48 @@ def _tag_salted(
 
 
 def gold_partition_phase_a(tbl: pa.Table, cfg: GoldConfig) -> pa.Table:
-    """Fused pass over one hash partition where segments are
-    ``(conv_id, __shard)``. Prefix rows feed window/lag/session state but
-    are not emitted. Hot shards embed their stitch summary on their first
-    real row (``__sum_*`` columns, null elsewhere)."""
+    """The fused gold pass (stages/featurize.py) over one hash partition
+    of a tagged table, where segments are ``(conv_id, __shard)``. Prefix
+    rows feed window/lag/session state but are not emitted. Adds the
+    stitch inputs: ``__shard``, ``__ridx``, ``__b``, and on each hot
+    shard's first real row its summary (``__sum_*`` columns, null
+    elsewhere)."""
     if tbl.num_rows == 0:
         return _empty_phase_a(cfg)
-
-    if cfg.dedup and not cfg.compute_turn_idx:
-        order_cols = ["ts"] + (["ingest_ts"] if "ingest_ts" in tbl.column_names else [])
-        tbl = dedup_first(tbl, ["conv_id", SHARD_COL, "turn_idx", PREFIX_COL], order_cols)
-
-    # ---- sort by (conv, shard, ts, tiebreak); prefix rows precede real
-    # rows of a shard naturally (their ts < bucket start) ----
-    conv_codes = np.asarray(
-        pc.dictionary_encode(tbl["conv_id"].combine_chunks()).indices
-    ).astype(np.int64)
-    shard = np.asarray(tbl[SHARD_COL].combine_chunks())
-    ts = np.asarray(tbl["ts"].combine_chunks().cast(pa.int64()))
-    tiebreak = cfg.tiebreak_col if cfg.compute_turn_idx else "turn_idx"
-    tb = np.asarray(tbl[tiebreak].combine_chunks().cast(pa.int64()))
-    order = np.lexsort((tb, ts, shard, conv_codes))
-    tbl = tbl.take(pa.array(order))
-    conv_codes, shard, ts = conv_codes[order], shard[order], ts[order]
-
-    n = tbl.num_rows
-    seg_start = W.segment_starts(conv_codes) | np.concatenate(
-        [[True], shard[1:] != shard[:-1]]
-    )
-    seg_id = W.segment_ids(seg_start)
-    prefix = np.asarray(tbl[PREFIX_COL].combine_chunks()).astype(bool)
-    real = ~prefix
-
-    # ---- windows over prefix∪real, evaluated at every row ----
-    max_delta = max(cfg.w_short, cfg.w_distinct, cfg.w_long)
-    ts_adj = W.adjusted_ts(ts, seg_id, max_delta)
-    text = tbl["text"].combine_chunks()
-    # fill_null(0): mirror featurize.py — one null text must not
-    # NaN-poison the prefix-sum windows of every later row in the shard
-    chars = np.asarray(
-        pc.utf8_length(text).cast(pa.int64()).fill_null(0)
-    ).astype(np.float64)
-    role = tbl["role"].combine_chunks()
-
-    l1, r1 = W.trailing_bounds(ts_adj, cfg.w_short)
-    l24, r24 = W.trailing_bounds(ts_adj, cfg.w_distinct)
-    l7, r7 = W.trailing_bounds(ts_adj, cfg.w_long)
-    turns_1h = W.windowed_count(l1, r1)
-    chars_1h = W.windowed_sum(chars, l1, r1)
-    avg_chars_7d = W.windowed_sum(chars, l7, r7) / W.windowed_count(l7, r7)
-    tool = tbl["tool"].combine_chunks()
-    tool_valid = np.asarray(pc.is_valid(tool))
-    tool_codes = np.asarray(
-        pc.dictionary_encode(tool).indices.fill_null(-1)
-    ).astype(np.int64)
-    tool_count_24h = W.windowed_distinct(tool_codes, tool_valid, l24, r24)
-    role_cols = {}
-    for rv in cfg.role_counts:
-        mask = np.asarray(pc.equal(role, rv).fill_null(False))
-        role_cols[f"{rv}_turns_1h"] = W.windowed_count_where(mask, l1, r1)
-
-    # ---- lag/lead/gap in full space (prefix rows are true predecessors) --
-    lag1 = W.lag_within(ts, seg_start, TS_NULL)
-    lead1 = W.lead_within(ts, seg_start, TS_NULL)
-    gap_prev = np.empty(n, dtype=np.int64)
-    gap_prev[1:] = ts[1:] - ts[:-1]
-    gap_prev[0] = -1
-    gap_prev[seg_start] = -1
-    breaks = seg_start | (gap_prev > cfg.gap_us)
-
-    # ---- compact to real rows; per-shard numbering ----
-    ridx_all = _running_index(real, seg_start)  # index among real rows of seg
-    arange = np.arange(n, dtype=np.int64)
-    seg_first = np.maximum.accumulate(np.where(seg_start, arange, 0))
-    br = breaks & real
-    cum_br = np.cumsum(br, dtype=np.int64)
-    cum_before_seg = cum_br[seg_first] - br[seg_first]
-    b_all = cum_br - cum_before_seg  # cumulative real breaks within segment
-
-    # session_turn_idx for rows at/after their shard's first real break;
-    # rows with b == 0 are finalized by the stitch (trail_in + ridx)
-    last_br_ridx = _segmented_maximum_accumulate(
-        np.where(br, ridx_all, np.int64(-1)), seg_start
-    )
-    sturn_all = np.where(b_all > 0, ridx_all - last_br_ridx, ridx_all).astype(np.int64)
-
-    if cfg.compute_turn_idx:
-        turn_idx_all = ridx_all.astype(np.int32)
-    else:
-        turn_idx_all = np.asarray(tbl["turn_idx"].combine_chunks().cast(pa.int32()))
-
-    # ---- subset to real rows ----
-    keep = np.flatnonzero(real)
-    out_tbl = tbl.take(pa.array(keep))
-    m = len(keep)
-    ts_r = ts[keep]
-    ts_arr = pa.array(ts_r, pa.int64()).cast(pa.timestamp("us"))
-    gap_r = gap_prev[keep]
-    gap_null = gap_r < 0
-    gap_s = pa.array(
-        np.where(gap_null, 0, gap_r).astype(np.float64) / S.US_PER_S,
-        pa.float64(),
-        mask=gap_null,
+    gold, e = _gold_pass(tbl, cfg, tagged=True)
+    seg_start = W.segment_starts(e.seg_id)
+    is_first = seg_start & (e.shard != NON_SALTED)
+    arrays = [
+        pa.array(e.shard, pa.int64()),
+        pa.array(e.ridx, pa.int64()),
+        pa.array(e.b, pa.int64()),
+    ] + [
+        pa.array(np.where(is_first, vals, 0), typ, mask=~is_first)
+        for vals, typ in zip(_shard_summaries(e, seg_start), _SUM_TYPES)
+    ]
+    return pa.Table.from_arrays(
+        gold.columns + arrays, schema=_phase_a_schema(cfg.role_counts)
     )
 
-    cols: dict[str, pa.Array | pa.ChunkedArray] = {
-        "conv_id": out_tbl["conv_id"],
-        "turn_idx": pa.array(turn_idx_all[keep], pa.int32()),
-        "role": out_tbl["role"],
-        "tool": out_tbl["tool"],
-    }
-    if cfg.keep_text:
-        cols["text"] = out_tbl["text"]
-    cols.update(
-        {
-            "ts": ts_arr,
-            "dt": pc.strftime(ts_arr, format="%Y-%m-%d"),
-            "event_time": pa.array(ts_r.astype(np.float64) / S.US_PER_S),
-            "turns_1h": pa.array(turns_1h[keep]),
-            "chars_1h": pa.array(chars_1h[keep]),
-            "tool_count_24h": pa.array(tool_count_24h[keep]),
-            "avg_chars_7d": pa.array(avg_chars_7d[keep]),
-        }
-    )
-    for name, arr in role_cols.items():
-        cols[name] = pa.array(arr[keep])
-    cols["lag1_ts"] = _ts_with_null(lag1[keep])
-    cols["lead1_ts"] = _ts_with_null(lead1[keep])
-    cols["gap_s"] = gap_s
-    # session_id here is local cumulative-break count b; the stitch turns it
-    # into the global 0-based id (B_prior + b - 1); non-salted rows get
-    # b - 1 directly (B_prior = 0).
-    cols["session_id"] = pa.array(b_all[keep], pa.int64())
-    cols["session_turn_idx"] = pa.array(sturn_all[keep].astype(np.int32), pa.int32())
-    for c in cfg.extra_passthrough:
-        cols[c] = out_tbl[c]
 
-    # ---- internals + embedded summaries ----
-    shard_r = shard[keep]
-    cols[SHARD_COL] = pa.array(shard_r, pa.int64())
-    cols[_RIDX] = pa.array(ridx_all[keep], pa.int64())
-    cols[_B] = pa.array(b_all[keep], pa.int64())
-
-    hot = shard_r != NON_SALTED
-    seg_start_r = W.segment_starts(seg_id[keep])
-    is_first = seg_start_r & hot
-    summary = _shard_summaries(
-        seg_id[keep], seg_start_r, ts_r, b_all[keep], ridx_all[keep],
-        prefix_present=_seg_has_prefix(seg_id, prefix, keep),
-    )
-    for name, (vals, typ) in summary.items():
-        cols[name] = pa.array(
-            np.where(is_first, vals, 0).astype(typ),
-            mask=~is_first,
-        )
-    return pa.table(cols)
-
-
-def _running_index(real: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """0-based index among real rows within each segment (prefix rows get
-    the index of the next real row; unused for them)."""
-    n = len(real)
-    cum = np.cumsum(real, dtype=np.int64)
-    arange = np.arange(n, dtype=np.int64)
-    seg_first = np.maximum.accumulate(np.where(seg_start, arange, 0))
-    cum_before_seg = cum[seg_first] - real[seg_first]
-    return np.where(real, cum - cum_before_seg - 1, cum - cum_before_seg)
-
-
-def _seg_has_prefix(seg_id: np.ndarray, prefix: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Per kept (real) row: did this row's segment contain prefix rows?"""
-    n_seg = int(seg_id[-1]) + 1 if len(seg_id) else 0
-    has = np.zeros(n_seg, dtype=bool)
-    np.logical_or.at(has, seg_id, prefix)
-    return has[seg_id[keep]]
-
-
-def _shard_summaries(seg_id_r, seg_start_r, ts_r, b_r, ridx_r, *, prefix_present):
-    """Per-segment summary values, broadcast to every row (only the first
-    row's value is kept by the caller): n_real, total breaks, trailing run
-    (-1 = no real break in shard), first/last real ts, no-prefix flag."""
-    m = len(seg_id_r)
-    if m == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return {
-            "__sum_n_real": (z, np.int64), "__sum_breaks": (z, np.int64),
-            "__sum_trail": (z, np.int64), "__sum_first_ts": (z, np.int64),
-            "__sum_last_ts": (z, np.int64),
-            "__sum_no_prefix": (np.zeros(0, dtype=np.int8), np.int8),
-        }
-    arange = np.arange(m, dtype=np.int64)
-    seg_first = np.maximum.accumulate(np.where(seg_start_r, arange, 0))
-    # per-row index of the last row of its segment
-    ends = np.concatenate([np.flatnonzero(seg_start_r)[1:] - 1, [m - 1]])
-    seg_last = ends[np.cumsum(seg_start_r) - 1]
-    n_real = ridx_r[seg_last] + 1
-    breaks_total = b_r[seg_last]
-    # trailing run: size of the open session at shard end = rows from the
-    # last real break (inclusive) to the end; -1 if no break at all
-    trail = np.where(
-        breaks_total > 0,
-        n_real - _last_break_ridx(seg_start_r, seg_last, b_r, ridx_r),
-        -1,
-    )
-    return {
-        "__sum_n_real": (n_real, np.int64),
-        "__sum_breaks": (breaks_total, np.int64),
-        "__sum_trail": (trail, np.int64),
-        "__sum_first_ts": (ts_r[seg_first], np.int64),
-        "__sum_last_ts": (ts_r[seg_last], np.int64),
-        "__sum_no_prefix": ((~prefix_present).astype(np.int8), np.int8),
-    }
-
-
-def _last_break_ridx(seg_start_mask, seg_last, b_r, ridx_r):
-    """ridx of the segment's last session-break row (valid only where the
-    segment has >= 1 break). b is the cumulative break count, so break rows
-    are exactly where b steps up; take the segmented running max of their
-    ridx and read it at each segment's last row."""
-    m = len(b_r)
-    prev_b = np.empty(m, dtype=np.int64)
-    prev_b[1:] = b_r[:-1]
-    prev_b[0] = 0
-    prev_b[seg_start_mask] = 0
-    is_break = b_r > prev_b
-    cand = np.where(is_break, ridx_r, np.int64(-1))
-    run = _segmented_maximum_accumulate(cand, seg_start_mask)
-    return run[seg_last]
-
-
-def _segmented_maximum_accumulate(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """np.maximum.accumulate restarted at each segment start."""
-    n = len(x)
-    if n == 0:
-        return x
-    lo = np.int64(np.iinfo(np.int64).min // 4)
-    arange = np.arange(n, dtype=np.int64)
-    seg_first = np.maximum.accumulate(np.where(seg_start, arange, 0))
-    # offset trick: add a huge per-segment ramp so maxima never cross segs
-    seg_id = np.cumsum(seg_start, dtype=np.int64) - 1
-    # x values are small (ridx) — offset by seg_id * big
-    big = np.int64(1) << np.int64(40)
-    n_seg = int(seg_id[-1]) + 1
-    if n_seg * int(big) + max(int(x.max(initial=0)), 0) >= (1 << 62):
-        # same explicit guard as functions/windows.py adjusted_ts — numpy
-        # int64 wraps silently past this (ADVICE r1)
-        raise OverflowError(
-            f"segment offset ramp would overflow int64: {n_seg} segments"
-        )
-    shifted = x.astype(np.int64) + seg_id * big
-    acc = np.maximum.accumulate(np.where(x == -1, lo + seg_id * big, shifted))
-    out = acc - seg_id * big
-    out[out < -1] = -1
-    return out
+def _shard_summaries(e, seg_start: np.ndarray) -> list[np.ndarray]:
+    """Per-segment summary values in ``_SUM_COLS`` order, broadcast to
+    every row (the caller keeps the first row's): n_real, total breaks,
+    trailing run (the open session's size at shard end; -1 = no real
+    break in the shard), first/last real ts, no-prefix flag."""
+    starts = np.flatnonzero(seg_start)
+    k = np.cumsum(seg_start) - 1
+    first = starts[k]
+    last = np.append(starts[1:], len(seg_start))[k] - 1
+    breaks = e.b[last]
+    return [
+        e.ridx[last] + 1,
+        breaks,
+        np.where(breaks > 0, e.sturn[last] + 1, -1),
+        e.ts[first],
+        e.ts[last],
+        ~e.seg_has_prefix,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -569,19 +371,18 @@ def gold_features_salted(
         from .keyed import _bytes_hint, derive_num_parts
 
         num_parts = derive_num_parts(_bytes_hint(ds))
-    max_delta = max(cfg.w_short, cfg.w_distinct, cfg.w_long)
-    bucket_us = bucket_us or max(max_delta, cfg.gap_us)
-    if bucket_us < max(max_delta, cfg.gap_us):
+    # overlap must cover BOTH the longest window and the session gap: the
+    # session-break argument needs "no prefix row => true gap > gap_us",
+    # which only holds when the prefix spans >= gap_us (ADVICE r1)
+    overlap_us = max(S.MAX_WINDOW_US, cfg.gap_us)
+    bucket_us = bucket_us or overlap_us
+    if bucket_us < overlap_us:
         raise ValueError("bucket_us must be >= max window / session gap")
     hot_parts = hot_parts or num_parts
 
     if hot_keys is None:
         hot_keys = detect_hot_keys(ds, "conv_id", hot_threshold)
 
-    # overlap must cover BOTH the longest window and the session gap: the
-    # session-break argument needs "no prefix row => true gap > gap_us",
-    # which only holds when the prefix spans >= gap_us (ADVICE r1)
-    overlap_us = max(max_delta, cfg.gap_us)
     tagged = ds.map_batches(
         lambda t: _tag_salted(
             t, "conv_id", num_parts, hot_parts, hot_keys, bucket_us, overlap_us
@@ -647,15 +448,13 @@ def _extract_summaries_pruned(batch: pa.Table) -> pa.Table:
     return batch.filter(mask)
 
 
-def _empty_phase_a(cfg: GoldConfig) -> pa.Table:
-    from .featurize import _empty_gold
+@functools.cache
+def _phase_a_schema(role_counts: tuple[str, ...]) -> pa.Schema:
+    internal = [(SHARD_COL, pa.int64()), (_RIDX, pa.int64()), (_B, pa.int64())]
+    return pa.schema(
+        list(gold_schema(role_counts)) + internal + list(zip(_SUM_COLS, _SUM_TYPES))
+    )
 
-    base = _empty_gold(cfg)
-    cols = {n: base[n] for n in base.column_names}
-    cols[SHARD_COL] = pa.array([], pa.int64())
-    cols[_RIDX] = pa.array([], pa.int64())
-    cols[_B] = pa.array([], pa.int64())
-    for name in _SUM_COLS:
-        typ = pa.int8() if name == "__sum_no_prefix" else pa.int64()
-        cols[name] = pa.array([], typ)
-    return pa.table(cols)
+
+def _empty_phase_a(cfg: GoldConfig) -> pa.Table:
+    return _phase_a_schema(cfg.role_counts).empty_table()

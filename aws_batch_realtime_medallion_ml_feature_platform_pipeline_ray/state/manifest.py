@@ -118,15 +118,6 @@ def atomic_write_table(tbl, path: str) -> None:
     F.write_table_atomic(tbl, path)
 
 
-class StageTimer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.wall_s = time.perf_counter() - self.t0
-
-
 def summarize(manifests: list[PartitionManifest]) -> dict:
     """Run-level metrics from partition manifests (rows, turns/sec) —
     replaces the reference's CloudWatch success metric + count() passes.

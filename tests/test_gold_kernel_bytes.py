@@ -1,0 +1,130 @@
+"""Byte-level pin of the fused gold kernel, without Ray.
+
+``gold_features_partition`` and ``gold_partition_phase_a`` +
+``_apply_corrections`` run on seeded ``generate_transcripts`` tables; the
+SHA-256 of each output's Arrow IPC stream is compared with a recorded
+digest. Unlike the oracle's value hash this pins column order, types,
+null masks and row order, so a refactor of the kernel that changes any
+of them fails here.
+"""
+
+import hashlib
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray import schema as S
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.queries import (
+    EVENT_ROLES,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.transcripts import (
+    generate_transcripts,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
+    GoldConfig,
+    gold_features_partition,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed import (
+    PART_COL,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.salted import (
+    NON_SALTED,
+    SHARD_COL,
+    _SUM_COLS,
+    _apply_corrections,
+    _build_corrections,
+    _tag_salted,
+    gold_partition_phase_a,
+)
+
+CONFIGS = {
+    "default": GoldConfig(),
+    "no_dedup": GoldConfig(dedup=False),
+    # the q_gold_features config
+    "events": GoldConfig(
+        compute_turn_idx=True,
+        tiebreak_col="event_id",
+        dedup=False,
+        role_counts=EVENT_ROLES,
+    ),
+}
+
+
+def _table() -> pa.Table:
+    tbl = generate_transcripts(
+        40, 30, seed=13, dup_frac=0.03, empty_text_frac=0.02,
+        mean_gap_s=4 * 3600.0,
+    )
+    rng = np.random.default_rng(13)
+    event_id = rng.permutation(tbl.num_rows).astype(np.int64)
+    return tbl.append_column("event_id", pa.array(event_id, pa.int64()))
+
+
+def _digest(tbl: pa.Table) -> str:
+    sink = pa.BufferOutputStream()
+    tbl = tbl.combine_chunks()
+    with pa.ipc.new_stream(sink, tbl.schema) as w:
+        w.write_table(tbl)
+    return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()
+
+
+def _salted(tbl: pa.Table, cfg: GoldConfig, hot_keys: pa.Array) -> pa.Table:
+    """The salted plan on one partition: tag (+prefix copies), phase A,
+    shard summaries, stitch."""
+    overlap = max(S.D7, cfg.gap_us)
+    tagged = _tag_salted(tbl, "conv_id", 1, 1, hot_keys, overlap, overlap)
+    phase_a = gold_partition_phase_a(tagged.drop_columns([PART_COL]), cfg)
+    summary = phase_a.select(["conv_id", SHARD_COL, *_SUM_COLS]).filter(
+        pc.and_(
+            pc.is_valid(phase_a["__sum_n_real"]),
+            pc.not_equal(phase_a[SHARD_COL], pa.scalar(int(NON_SALTED), pa.int64())),
+        )
+    )
+    corr = _build_corrections(summary.to_pandas()) if summary.num_rows else pd.DataFrame()
+    return _apply_corrections(phase_a, corr, cfg.compute_turn_idx)
+
+
+def _all_convs(tbl: pa.Table) -> pa.Array:
+    return pc.unique(tbl["conv_id"].combine_chunks())
+
+
+# One digest per config: the salted plan reproduces the unsalted pass
+# bit for bit, so every kernel path of a config must hash the same.
+EXPECTED = {
+    "default": "6e5d8024852eb58e39e47068e89b343ebc45398e1caa06017c960d3857283483",
+    "no_dedup": "2fec94f9bac22fceefbe4fd03bf25b1aeffc7999e64f8292e0fe2b5c90df96d3",
+    "events": "97d528fc3cf452d4381e96bec2ed36098d84402dec0fb275245ec53c1c2218bc",
+}
+CASES = [
+    ("plain", "default"), ("plain", "no_dedup"), ("plain", "events"),
+    ("phase_a", "default"), ("phase_a", "no_dedup"), ("phase_a", "events"),
+    ("salted", "default"), ("salted", "no_dedup"), ("salted", "events"),
+]
+
+
+@pytest.mark.parametrize("kernel,cfg_name", CASES)
+def test_gold_kernel_bytes_pinned(kernel, cfg_name):
+    tbl = _table()
+    cfg = CONFIGS[cfg_name]
+    if kernel == "plain":
+        out = gold_features_partition(tbl, cfg)
+    elif kernel == "phase_a":
+        out = _salted(tbl, cfg, pa.array([], pa.string()))
+    else:
+        out = _salted(tbl, cfg, _all_convs(tbl))
+    assert out.num_rows > 0
+    assert _digest(out) == EXPECTED[cfg_name]
+
+
+def test_salted_fixture_has_prefix_copies():
+    """The all-hot tagging must produce multi-bucket shards with prefix
+    rows, or the salted digests would not cover the prefix path."""
+    tbl = _table()
+    overlap = max(S.D7, S.SESSION_GAP_US)
+    tagged = _tag_salted(tbl, "conv_id", 1, 1, _all_convs(tbl), overlap, overlap)
+    assert pc.sum(tagged["__prefix"]).as_py() > 0
+    per_conv = tagged.group_by("conv_id").aggregate([(SHARD_COL, "count_distinct")])
+    assert pc.max(per_conv[f"{SHARD_COL}_count_distinct"]).as_py() > 1

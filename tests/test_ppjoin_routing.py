@@ -1,7 +1,7 @@
 """Auto-routing of the PPJoin exact verify (VERDICT r4 §next-7).
 
 ``stages/ppjoin.verify_pairs`` must (a) pick the broadcast plan for
-small candidate sets and the cogroup plan past ``broadcast_limit``, and
+small candidate sets and the cogroup plan past ``BROADCAST_CAND_LIMIT``, and
 (b) produce IDENTICAL outputs on both sides of the threshold for all
 three score modes — so flipping plans at scale can never change results.
 Also covers the r5 fused front-end: ``gram_df_front`` (in-batch gram
@@ -12,9 +12,13 @@ hashing + int-keyed df attach) must agree with the r4 string-keyed
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.reads import (
     read_parquet_sized,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages import (
+    keyed,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages import (
     ppjoin as P,
@@ -29,12 +33,64 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed 
 SF = "/root/testdata/sf0.001"
 
 
-def test_route_verify_threshold():
-    assert P.route_verify(0) == "broadcast"
-    assert P.route_verify(P.BROADCAST_CAND_LIMIT) == "broadcast"
-    assert P.route_verify(P.BROADCAST_CAND_LIMIT + 1) == "cogroup"
-    assert P.route_verify(10, limit=9) == "cogroup"
-    assert P.route_verify(9, limit=9) == "broadcast"
+class _PathTaken(Exception):
+    pass
+
+
+class _Candidates:
+    """Just enough of a Ray Dataset for verify_pairs to route on."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def materialize(self):
+        return self
+
+    def count(self):
+        return self.n
+
+    def map_batches(self, *args, **kwargs):
+        return self
+
+
+def test_route_verify_threshold(monkeypatch):
+    """count == limit takes the broadcast plan, limit + 1 the cogroup
+    plan; the limit is read when verify_pairs runs. A spy on each plan's
+    first call records the path and stops the run."""
+    taken = []
+
+    def spy(path):
+        def stop(*args, **kwargs):
+            taken.append(path)
+            raise _PathTaken
+
+        return stop
+
+    monkeypatch.setattr(P, "collect_candidates", spy("broadcast"))
+    monkeypatch.setattr(keyed, "cogroup_by_key", spy("cogroup"))
+
+    def route(n):
+        with pytest.raises(_PathTaken):
+            P.verify_pairs(_Candidates(0), _Candidates(n), "jaccard", 0.5, "j")
+        return taken.pop()
+
+    assert route(0) == "broadcast"
+    assert route(P.BROADCAST_CAND_LIMIT) == "broadcast"
+    assert route(P.BROADCAST_CAND_LIMIT + 1) == "cogroup"
+    monkeypatch.setattr(P, "BROADCAST_CAND_LIMIT", 9)
+    assert route(9) == "broadcast"
+    assert route(10) == "cogroup"
+
+
+def _verify(monkeypatch, limit, *args, **kwargs):
+    """verify_pairs routed with ``BROADCAST_CAND_LIMIT = limit``."""
+    with monkeypatch.context() as m:
+        m.setattr(P, "BROADCAST_CAND_LIMIT", limit)
+        return P.verify_pairs(*args, **kwargs)
+
+
+BROADCAST = np.iinfo(np.int64).max  # every candidate count fits
+COGROUP = -1  # no candidate count fits
 
 
 def _docs():
@@ -56,17 +112,15 @@ def _jaccard_cand(dfd):
     )
 
 
-def test_verify_paths_identical_jaccard(ray_session):
+def test_verify_paths_identical_jaccard(ray_session, monkeypatch):
     dfd = P.gram_df_front(_docs(), num_parts=8)
     cand = _jaccard_cand(dfd)
     bc = _fetch(
-        P.verify_pairs(dfd, cand, "jaccard", 0.5, "jaccard", 8,
-                       force_path="broadcast"),
+        _verify(monkeypatch, BROADCAST, dfd, cand, "jaccard", 0.5, "jaccard", 8),
         "jaccard",
     )
     cg = _fetch(
-        P.verify_pairs(dfd, cand, "jaccard", 0.5, "jaccard", 8,
-                       force_path="cogroup"),
+        _verify(monkeypatch, COGROUP, dfd, cand, "jaccard", 0.5, "jaccard", 8),
         "jaccard",
     )
     assert len(bc) > 0  # fixture must exercise the path
@@ -74,8 +128,7 @@ def test_verify_paths_identical_jaccard(ray_session):
     # auto-routing with a 0 limit must take the cogroup plan and still
     # match; default limit takes broadcast and matches too
     auto_cg = _fetch(
-        P.verify_pairs(dfd, cand, "jaccard", 0.5, "jaccard", 8,
-                       broadcast_limit=0),
+        _verify(monkeypatch, 0, dfd, cand, "jaccard", 0.5, "jaccard", 8),
         "jaccard",
     )
     auto_bc = _fetch(
@@ -85,7 +138,7 @@ def test_verify_paths_identical_jaccard(ray_session):
     pd.testing.assert_frame_equal(auto_bc, bc)
 
 
-def test_verify_paths_identical_containment(ray_session):
+def test_verify_paths_identical_containment(ray_session, monkeypatch):
     dfd = P.gram_df_front(_docs(), num_parts=8)
     flagged = map_partitions_by_key(
         dfd, "doc_id", lambda t: P.select_prefix_flagged(t, 7, 10),
@@ -96,20 +149,20 @@ def test_verify_paths_identical_containment(ray_session):
         num_parts=8,
     )
     bc = _fetch(
-        P.verify_pairs(dfd, cand, "containment", 0.7, "containment", 8,
-                       force_path="broadcast"),
+        _verify(monkeypatch, BROADCAST, dfd, cand, "containment", 0.7,
+                "containment", 8),
         "containment",
     )
     cg = _fetch(
-        P.verify_pairs(dfd, cand, "containment", 0.7, "containment", 8,
-                       force_path="cogroup"),
+        _verify(monkeypatch, COGROUP, dfd, cand, "containment", 0.7,
+                "containment", 8),
         "containment",
     )
     assert len(bc) > 0
     pd.testing.assert_frame_equal(bc, cg)
 
 
-def test_verify_paths_identical_wjaccard(ray_session):
+def test_verify_paths_identical_wjaccard(ray_session, monkeypatch):
     docs = _docs()
     n_docs = docs.count()  # sf0.001 docs all have >= 3 tokens
     dfd = P.gram_df_front(docs, num_parts=8)
@@ -123,13 +176,13 @@ def test_verify_paths_identical_wjaccard(ray_session):
         pfx, "gh", lambda t: P.expand_weighted_pairs(t, 7, 20), num_parts=8
     )
     bc = _fetch(
-        P.verify_pairs(dfd, cand, "wjaccard", 0.35, "wjaccard", 8,
-                       n_docs=n_docs, force_path="broadcast"),
+        _verify(monkeypatch, BROADCAST, dfd, cand, "wjaccard", 0.35,
+                "wjaccard", 8, n_docs=n_docs),
         "wjaccard",
     )
     cg = _fetch(
-        P.verify_pairs(dfd, cand, "wjaccard", 0.35, "wjaccard", 8,
-                       n_docs=n_docs, force_path="cogroup"),
+        _verify(monkeypatch, COGROUP, dfd, cand, "wjaccard", 0.35,
+                "wjaccard", 8, n_docs=n_docs),
         "wjaccard",
     )
     assert len(bc) > 0

@@ -11,6 +11,10 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages import (
+    keyed,
+    prefixdup,
+)
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.prefixdup import (
     PFX_K,
     prefix_dup_flags,
@@ -93,12 +97,30 @@ def test_equal_run_spanning_blocks(ray_session):
     assert _run(texts, blocks=5) == _brute(texts)
 
 
+def _route(monkeypatch, limit) -> list:
+    """Set ``COHORT_BROADCAST_LIMIT = limit``; the returned list records
+    each cogroup-plan call."""
+    monkeypatch.setattr(prefixdup, "COHORT_BROADCAST_LIMIT", limit)
+    calls = []
+    real = keyed.cogroup_by_key
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(keyed, "cogroup_by_key", spy)
+    return calls
+
+
 @pytest.mark.parametrize("path", ["broadcast", "cogroup"])
-def test_cohort_paths_identical(ray_session, path):
+def test_cohort_paths_identical(ray_session, monkeypatch, path):
     """The broadcast cohort filter and the doc_id-cogroup fallback must
     flag identically (auto-route safety)."""
     import ray.data as rd
 
+    cogroup_calls = _route(
+        monkeypatch, np.iinfo(np.int64).max if path == "broadcast" else -1
+    )
     texts = [
         BASE + "alpha", BASE + "alpha tail", BASE + "beta",
         "y" * PFX_K + "solo", "z" * (PFX_K + 5), "z" * (PFX_K + 5),
@@ -112,19 +134,20 @@ def test_cohort_paths_identical(ray_session, path):
         )
     ).repartition(3)
     got = (
-        prefix_dup_flags(ds, "text", "flag", num_parts=4,
-                         force_cohort_path=path)
+        prefix_dup_flags(ds, "text", "flag", num_parts=4)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )
     assert got["flag"].tolist() == _brute(texts)
+    assert bool(cogroup_calls) == (path == "cogroup")
 
 
-def test_cohort_auto_route_zero_limit(ray_session):
-    """cohort_broadcast_limit=0 must take the cogroup plan and still
+def test_cohort_auto_route_zero_limit(ray_session, monkeypatch):
+    """COHORT_BROADCAST_LIMIT = 0 must take the cogroup plan and still
     match brute force."""
     import ray.data as rd
 
+    cogroup_calls = _route(monkeypatch, 0)
     texts = [BASE + "a", BASE + "a plus", BASE + "b", "tiny"]
     ds = rd.from_arrow(
         pa.table(
@@ -133,9 +156,9 @@ def test_cohort_auto_route_zero_limit(ray_session):
         )
     )
     got = (
-        prefix_dup_flags(ds, "text", "flag", num_parts=4,
-                         cohort_broadcast_limit=0)
+        prefix_dup_flags(ds, "text", "flag", num_parts=4)
         .to_pandas()
         .sort_values("doc_id", ignore_index=True)
     )
     assert got["flag"].tolist() == _brute(texts)
+    assert cogroup_calls

@@ -132,7 +132,7 @@ def test_salted_gap_exceeds_windows(ray_session):
     """ADVICE r1: when gap_us exceeds the longest window, the overlap
     prefix must still span gap_us — otherwise empty-prefix shards emit
     spurious session breaks. Bit parity required."""
-    cfg = GoldConfig(dedup=True, gap_us=30 * 86400 * 10**6)  # 30d > w_long 7d
+    cfg = GoldConfig(dedup=True, gap_us=30 * 86400 * 10**6)  # 30d > D7 window
     tbl = generate_transcripts(60, 40, seed=41, dup_frac=0.02,
                                mean_gap_s=86400.0 * 2)
     _assert_salted_matches(ray_session, tbl, cfg, 150)

@@ -163,44 +163,63 @@ def test_dedup_first_string_order_col_uses_value_order():
     assert out["v"].to_pylist() == [10]
 
 
-def test_empty_gold_carries_passthrough_schema():
+def test_empty_gold_schema_matches_nonempty():
+    """Empty partitions of both fused-pass entry points must carry the
+    non-empty schema, or the block union fails."""
     import pyarrow as pa
 
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.queries import (
+        EVENT_ROLES,
+    )
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
         GoldConfig,
         gold_features_partition,
     )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.salted import (
+        PREFIX_COL,
+        SHARD_COL,
+        _empty_phase_a,
+        gold_partition_phase_a,
+    )
 
-    cfg = GoldConfig(dedup=False, extra_passthrough=("extra",))
-    schema = pa.schema(
-        [
-            ("conv_id", pa.string()),
-            ("turn_idx", pa.int32()),
-            ("role", pa.string()),
-            ("text", pa.string()),
-            ("tool", pa.string()),
-            ("ts", pa.timestamp("us")),
-            ("extra", pa.int64()),
-        ]
-    )
-    empty = gold_features_partition(schema.empty_table(), cfg)
     base = pd.Timestamp("2024-01-01")
-    nonempty = gold_features_partition(
-        pa.table(
-            {
-                "conv_id": pa.array(["c"]),
-                "turn_idx": pa.array([0], pa.int32()),
-                "role": pa.array(["user"]),
-                "text": pa.array(["x"]),
-                "tool": pa.array([None], pa.string()),
-                "ts": pa.array([base]),
-                "extra": pa.array([7], pa.int64()),
-            }
-        ),
-        cfg,
+    one = pa.table(
+        {
+            "conv_id": pa.array(["c"]),
+            "turn_idx": pa.array([0], pa.int32()),
+            "role": pa.array(["user"]),
+            "text": pa.array(["x"]),
+            "tool": pa.array([None], pa.string()),
+            "ts": pa.array([base]),
+            "event_id": pa.array([3], pa.int64()),
+        }
     )
-    assert empty.schema.names == nonempty.schema.names
-    pa.concat_tables([empty, nonempty])  # must not raise
+    tagged = one.append_column(SHARD_COL, pa.array([-1], pa.int64()))
+    tagged = tagged.append_column(PREFIX_COL, pa.array([0], pa.int8()))
+    prefix_only = tagged.set_column(
+        tagged.schema.get_field_index(PREFIX_COL), PREFIX_COL,
+        pa.array([1], pa.int8()),
+    )
+    cfgs = [
+        GoldConfig(dedup=False),
+        GoldConfig(compute_turn_idx=True, tiebreak_col="event_id",
+                   dedup=False, role_counts=EVENT_ROLES),
+    ]
+    for cfg in cfgs:
+        empty = gold_features_partition(one.slice(0, 0), cfg)
+        nonempty = gold_features_partition(one, cfg)
+        assert empty.num_rows == 0 and nonempty.num_rows == 1
+        assert empty.schema == nonempty.schema
+        pa.concat_tables([empty, nonempty])  # must not raise
+
+        empty_a = gold_partition_phase_a(tagged.slice(0, 0), cfg)
+        nonempty_a = gold_partition_phase_a(tagged, cfg)
+        only_prefix = gold_partition_phase_a(prefix_only, cfg)
+        assert nonempty_a.num_rows == 1 and only_prefix.num_rows == 0
+        assert empty_a.schema == nonempty_a.schema == _empty_phase_a(cfg).schema
+        assert only_prefix.schema == nonempty_a.schema
+        # phase A = the gold columns + the stitch's internal columns
+        assert nonempty_a.schema.names[: len(empty.schema)] == empty.schema.names
 
 
 def test_asof_duplicate_key_ts_rejected_and_overflow_guard():
