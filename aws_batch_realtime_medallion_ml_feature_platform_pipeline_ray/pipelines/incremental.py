@@ -7,22 +7,29 @@ carrying session state across batch boundaries": per-partition state
 carried across RUNS, new turns processed against a bounded window of
 carried rows instead of the partition's whole history.
 
-Per hash partition the state holds
-- ``rows-*.parquet`` — each conversation's trailing ``Δmax`` (= longest
-  window, 7 d) of silver rows: exactly the context any future row's
-  trailing window can reach. O(active window per conv), never O(history);
-- ``summary-*.parquet`` — per conv: cumulative session-break count
-  (``b_prior``), open-session run length (``trail_in``), ``last_ts`` and
-  the highest ``turn_idx`` emitted (``max_turn``). This is irreducible
-  watermark METADATA (4 ints per conversation — the streaming analog of
-  a per-key watermark store);
-- ``tails-*.parquet`` — per conv: the (conv_id, turn_idx) KEY of its
-  last gold row, whose ``lead1_ts`` the conversation's next turns repair
-  in place. No feature payload and no text lives in state.
+Per hash partition the state is one LZ4-compressed Arrow IPC file,
+``state/part=*/state.arrow``:
+- its rows are each conversation's trailing ``Δmax`` (= longest window,
+  7 d) of silver rows: exactly the context any future row's trailing
+  window can reach. O(active window per conv), never O(history). A row
+  keeps ``n_chars`` (int32) in place of ``text``: the kernel reads a
+  context row's text only through its length, and ``_classify`` and the
+  ``lead1_ts`` patch read keys and ``ts`` alone;
+- each conversation's latest row (max ``ts``, then max ``turn_idx`` —
+  the row ``latest_per_conv`` picks from its gold) also carries the
+  cumulative session-break count (``b_prior``), the open-session run
+  length (``trail_in``) and the highest ``turn_idx`` emitted
+  (``max_turn``); the other rows hold nulls there. The window always
+  holds that row, so its ``ts`` is the conversation's ``last_ts`` and its
+  key is the gold row whose ``lead1_ts`` the conversation's next turns
+  repair in place. This is irreducible watermark METADATA (3 ints per
+  conversation — the streaming analog of a per-key watermark store);
+- the schema metadata names the run that wrote the file and the row
+  count of each of the partition's gold ``dt=`` files.
 
-The files have versioned names and are committed by an atomic
-``_current.json`` pointer swap; the pointer also names the run and the
-row count of each of the partition's gold ``dt=`` files.
+The file is written under a temp name and renamed into place
+(``fsio.write_ipc_atomic``), so it needs no pointer and leaves no old
+generations behind.
 
 A run classifies the partition's new rows against the state:
 - a (conv, turn_idx) key already in the state window with the SAME ts
@@ -41,8 +48,8 @@ A run classifies the partition's new rows against the state:
 
 The full recompute is dedup + ``gold_features_partition`` over the
 conversation's silver history — the per-entity blast radius of B12. A
-partition with no state yet (a new lake, or one written before state
-existed) takes it for every conversation.
+partition with no ``state.arrow`` (a new lake, or one written in an
+older state layout) takes it for every conversation.
 
 Commit order; every step is idempotent, so rerunning a crashed
 ``run_id`` converges to the uninterrupted result:
@@ -50,8 +57,8 @@ Commit order; every step is idempotent, so rerunning a crashed
 2. ``dt=`` merges (``medallion.write_gold_partition``);
 3. online upsert;
 4. gold manifest;
-5. state pointer swap, last. A partition whose pointer names the run is
-   done, and a rerun skips it.
+5. ``state.arrow`` rename (``_commit_state``), last. A partition whose
+   state names the run is done, and a rerun skips it.
 
 Equivalence with one full-history run is tested by splitting bronze into
 several ingest windows (tests/test_incremental.py), late arrivals and
@@ -68,7 +75,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
-from ..stages.featurize import GoldConfig, dedup_first, gold_features_partition
+from ..stages.featurize import (
+    N_CHARS_COL,
+    GoldConfig,
+    dedup_first,
+    gold_features_partition,
+)
 from ..stages.keyed import PART_COL
 from ..state import feature_put as FP
 from ..state import fsio as F
@@ -86,58 +98,55 @@ from .medallion import (
     write_gold_partition,
 )
 
-_POINTER = "_current.json"
-_STATE_FILES = ("rows", "summary", "tails")
-_SILVER_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+_STATE_FILE = "state.arrow"
+_CARRY = ("b_prior", "trail_in", "max_turn")  # set on each conv's latest row
+_WINDOW_SCHEMA = pa.schema(
+    [S.SILVER.field(c) for c in ("conv_id", "turn_idx", "role")]
+    + [pa.field(N_CHARS_COL, pa.int32())]
+    + [S.SILVER.field(c) for c in ("tool", "ts")]
+)
+_WINDOW_COLS = _WINDOW_SCHEMA.names
+_STATE_SCHEMA = pa.schema(list(_WINDOW_SCHEMA) + [pa.field(c, pa.int64()) for c in _CARRY])
 
 
-def _empty_summary() -> pa.Table:
+def _read_state(state_dir: str) -> tuple[pa.Table, dict]:
+    """The partition's carried window rows and the metadata of the run
+    that wrote them (``run_id``, ``gold``); no rows and ``{}`` when there
+    is no ``state.arrow``."""
+    path = F.join(state_dir, _STATE_FILE)
+    if not F.exists(path):
+        return _STATE_SCHEMA.empty_table(), {}
+    tbl = F.read_ipc(path)
+    meta = tbl.schema.metadata
+    return tbl.replace_schema_metadata(None), {
+        "run_id": meta[b"run_id"].decode(), "gold": json.loads(meta[b"gold"])
+    }
+
+
+def _commit_state(state_dir: str, tbl: pa.Table) -> None:
+    """Commit point 5: write ``state.arrow`` under a temp name and rename
+    it into place."""
+    F.write_ipc_atomic(tbl, F.join(state_dir, _STATE_FILE))
+
+
+def _latest_rows(window: pa.Table) -> pa.Table:
+    """Each conversation's latest window row: the one carrying its
+    summary."""
+    return window.filter(pc.is_valid(window["b_prior"]))
+
+
+def _summary(latest: pa.Table) -> pa.Table:
+    """Per conversation: ``b_prior``, ``trail_in``, ``last_ts`` (µs) and
+    ``max_turn``, from its latest window row."""
     return pa.table(
         {
-            "conv_id": pa.array([], pa.string()),
-            "b_prior": pa.array([], pa.int64()),
-            "trail_in": pa.array([], pa.int64()),
-            "last_ts": pa.array([], pa.int64()),
-            "max_turn": pa.array([], pa.int64()),
+            "conv_id": latest["conv_id"],
+            "b_prior": latest["b_prior"],
+            "trail_in": latest["trail_in"],
+            "last_ts": latest["ts"].cast(pa.int64()),
+            "max_turn": latest["max_turn"],
         }
     )
-
-
-def _read_pointer(state_dir: str) -> dict:
-    ptr_path = F.join(state_dir, _POINTER)
-    if not F.exists(ptr_path):
-        return {}
-    with F.open_(ptr_path) as f:
-        pointer = json.load(f)
-    # a pointer without a run names state from before this layout (its
-    # gold lived elsewhere): start over from silver
-    return pointer if "run_id" in pointer else {}
-
-
-def _read_state(state_dir: str, pointer: dict):
-    """``(rows_tbl | None, summary_tbl, tails_tbl | None)`` of the
-    generation ``pointer`` names."""
-    rows, summary, tails = (
-        F.read_table(F.join(state_dir, pointer[k])) if pointer.get(k) else None
-        for k in _STATE_FILES
-    )
-    return rows, (summary if summary is not None else _empty_summary()), tails
-
-
-def _commit_state(state_dir: str, pointer: dict) -> None:
-    """Atomically swap the state pointer, then best-effort delete
-    unreferenced generations (a crash mid-cleanup is harmless — the
-    pointer alone defines the current state)."""
-    F.write_text_atomic(
-        F.join(state_dir, _POINTER), json.dumps(pointer, sort_keys=True)
-    )
-    keep = {pointer[k] for k in _STATE_FILES if pointer.get(k)}
-    for f in F.glob(F.join(state_dir, "*.parquet")):
-        if F.basename(f) not in keep:
-            try:
-                F.remove(f)
-            except OSError:
-                pass
 
 
 def process_partition_incremental(
@@ -157,8 +166,8 @@ def process_partition_incremental(
     part = int(group[PART_COL][0].as_py())
     key = f"{part:05d}"
     state_dir = F.join(state_root, f"part={key}")
-    pointer = _read_pointer(state_dir)
-    if pointer.get("run_id") == run_id:  # committed before a crash: skip
+    window, state = _read_state(state_dir)
+    if state.get("run_id") == run_id:  # committed before a crash: skip
         return _metrics(part, 0, 0)
 
     # S8 error accounting: count tagged validity rejects, then drop
@@ -193,8 +202,9 @@ def process_partition_incremental(
 
     # ---- gold rows: carried-window extension + full recompute ----
     t1 = time.perf_counter()
-    window, summary, tails = _read_state(state_dir, pointer)
-    if pointer:
+    latest = _latest_rows(window)
+    summary = _summary(latest)
+    if state:
         fresh, late_convs = _classify(g, window, summary)
         extend = fresh.filter(
             pc.invert(pc.is_in(fresh["conv_id"], value_set=_str_array(late_convs)))
@@ -206,13 +216,13 @@ def process_partition_incremental(
     if extend.num_rows:
         gold_new, harvested = _gold_partition_bounded(window, extend, summary, cfg)
         outputs.append(gold_new)
-        if tails is not None and tails.num_rows:
-            patches = _lead_patches(tails, window, harvested)
+        if latest.num_rows:
+            patches = _lead_patches(latest, harvested)
         summary = _roll_summary(summary, harvested, extend)
 
     hist, clear_dts = None, set()
-    if late_convs or not pointer:
-        hist = _silver_history(silver_root, key, late_convs if pointer else None)
+    if late_convs or not state:
+        hist = _silver_history(silver_root, key, late_convs if state else None)
         # a conflicting version can move a turn to another date: clear the
         # conversation from every date any of its versions names
         clear_dts = set(pc.unique(hist["dt"]).to_pylist())
@@ -225,7 +235,7 @@ def process_partition_incremental(
 
     # ---- 2. dt= merges ----
     part_dir = F.join(gold_root, f"part={key}")
-    gold_rows = dict(pointer.get("gold", {}))
+    gold_rows = dict(state.get("gold", {}))
     gold_rows.update(
         write_gold_partition(
             gold_out, part_dir, clear_convs=recomputed.to_pylist(),
@@ -257,7 +267,7 @@ def process_partition_incremental(
             wall_s=time.perf_counter() - t1,
             files=[F.join(part_dir, f"dt={dt}", "data.parquet") for dt in gold_rows],
             extra={
-                "gold_mode": "carried" if pointer else "full",
+                "gold_mode": "carried" if state else "full",
                 "late_convs": len(late_convs),
                 "lead_patches": patches.num_rows if patches is not None else 0,
                 "put_success": put["success"],
@@ -266,11 +276,11 @@ def process_partition_incremental(
         ),
     )
 
-    # ---- 5. state: trailing window + summary + tail keys, committed by
-    # one atomic pointer swap ----
-    _write_state(
-        state_dir, run_id, window, extend, hist, recomputed, summary, gold_out,
-        tails, pointer, gold_rows,
+    # ---- 5. state: the trailing window with each conversation's summary
+    # on its latest row, committed by one rename ----
+    _commit_state(
+        state_dir,
+        _next_state(window, extend, hist, recomputed, summary, run_id, gold_rows),
     )
     return _metrics(part, fresh.num_rows, len(late_convs))
 
@@ -294,7 +304,7 @@ def _classify(new: pa.Table, window, summary: pa.Table) -> tuple[pa.Table, set]:
     rows — keys the window does not hold, conversations to recompute)."""
     late: set[str] = set()
     fresh = new
-    if window is not None and window.num_rows and new.num_rows:
+    if window.num_rows and new.num_rows:
         idx = pc.index_in(_row_keys(new), value_set=_row_keys(window))
         # key re-delivered with a DIFFERENT ts: the dedup winner may flip
         diverged = pc.fill_null(
@@ -329,10 +339,10 @@ def _silver_history(silver_root: str, key: str, convs) -> pa.Table:
     """The partition's silver rows, every version, optionally narrowed to
     ``convs``."""
     files = sorted(F.glob(F.join(silver_root, f"part={key}", "run-*.parquet")))
-    only = None if convs is None else [("conv_id", "in", sorted(convs))]
-    return pa.concat_tables(
-        [F.read_table(f, filters=only) for f in files], promote_options="default"
-    )
+    hist = pa.concat_tables([F.read_table(f) for f in files], promote_options="default")
+    if convs is None:
+        return hist
+    return hist.filter(pc.is_in(hist["conv_id"], value_set=_str_array(convs)))
 
 
 def _upsert_online(online_root: str, key: str, latest: pa.Table) -> pa.Table:
@@ -416,79 +426,74 @@ def _rebuild_summary_from_full(summary: pa.Table, full: pa.Table) -> pa.Table:
     return _replace_convs(summary, upd)
 
 
-def _lead_patches(tails: pa.Table, window: pa.Table, harvested: pa.Table) -> pa.Table:
+def _lead_patches(latest: pa.Table, harvested: pa.Table) -> pa.Table:
     """``(conv_id, turn_idx, dt, lead1_ts)`` for each extended
-    conversation's previous last gold row: its ``lead1_ts`` becomes the
-    first new turn's ts. The row's ``dt`` comes from its ts in the
-    carried window, which always holds a conversation's last row."""
+    conversation's previous last gold row — its latest window row: its
+    ``lead1_ts`` becomes the first new turn's ts."""
     first = pa.table(
         {
             "conv_id": harvested["conv_id"],
             "lead1_ts": harvested["first_ts"].cast(pa.timestamp("us")),
         }
     )
-    t = tails.join(first, keys="conv_id", join_type="inner")
-    t = t.join(window.select(KEY + ["ts"]), keys=KEY, join_type="inner")
+    t = latest.select(KEY + ["ts"]).join(first, keys="conv_id", join_type="inner")
     dt = pc.strftime(t["ts"].combine_chunks(), format="%Y-%m-%d")
     return t.append_column("dt", dt).select(KEY + ["dt", "lead1_ts"])
 
 
-def _write_state(
-    state_dir, run_id, window, extend, hist, recomputed, summary, gold_out,
-    tails, pointer, gold_rows,
-) -> None:
-    """Roll the partition state and commit it with one atomic pointer
-    swap (versioned files + ``_current.json``): a crash between writes or
-    a task retry can never mix generations."""
+def _window_rows(t: pa.Table) -> pa.Table:
+    """Silver rows in the state's window layout: ``n_chars`` for ``text``."""
+    n_chars = pc.utf8_length(t["text"]).cast(pa.int32())
+    cols = {c: n_chars if c == N_CHARS_COL else t[c] for c in _WINDOW_COLS}
+    return pa.table(cols).cast(_WINDOW_SCHEMA)  # an all-null tool comes as null type
 
-    parts = []
-    if window is not None and window.num_rows:
-        # recomputed convs' window must reflect the DEDUPED truth (a
-        # conflicting re-delivery may have changed the winning version)
-        parts.append(
-            window.select(_SILVER_COLS).filter(
-                pc.invert(pc.is_in(window["conv_id"], value_set=recomputed))
-            )
+
+def _next_state(window, extend, hist, recomputed, summary, run_id, gold_rows) -> pa.Table:
+    """The partition's next ``state.arrow`` table: the rolled trailing
+    window, each conversation's summary on its latest row, and the run
+    metadata."""
+    # recomputed convs' window must reflect the DEDUPED truth (a
+    # conflicting re-delivery may have changed the winning version)
+    parts = [
+        window.select(_WINDOW_COLS).filter(
+            pc.invert(pc.is_in(window["conv_id"], value_set=recomputed))
         )
-    if extend.num_rows:
-        parts.append(extend.select(_SILVER_COLS))
-    if hist is not None and hist.num_rows:
-        parts.append(hist.select(_SILVER_COLS))
+    ]
+    parts += [_window_rows(t) for t in (extend, hist) if t is not None and t.num_rows]
+    rows = pa.concat_tables(parts)
+    meta = {"run_id": run_id, "gold": json.dumps(gold_rows, sort_keys=True)}
+    schema = _STATE_SCHEMA.with_metadata(meta)
+    if not rows.num_rows:
+        return schema.empty_table()
 
-    F.makedirs(state_dir, exist_ok=True)
-    new = {"run_id": run_id, "gold": gold_rows}
-    allr = pa.concat_tables(parts, promote_options="default") if parts else None
-    if allr is not None and allr.num_rows:
-        # trailing window per conv: keep rows with ts >= conv_last - Δmax
-        conv = allr["conv_id"].combine_chunks()
-        codes = np.asarray(pc.dictionary_encode(conv).indices).astype(np.int64)
-        ts = np.asarray(allr["ts"].combine_chunks().cast(pa.int64()))
-        last = np.full(codes.max() + 1, np.iinfo(np.int64).min, np.int64)
-        np.maximum.at(last, codes, ts)
-        new["rows"] = f"rows-{run_id}.parquet"
-        M.atomic_write_table(
-            allr.filter(pa.array(ts >= last[codes] - S.MAX_WINDOW_US)),
-            F.join(state_dir, new["rows"]),
-        )
-    new["summary"] = f"summary-{run_id}.parquet"
-    M.atomic_write_table(summary, F.join(state_dir, new["summary"]))
+    # trailing window per conv: keep rows with ts >= conv_last - Δmax
+    codes = np.asarray(
+        pc.dictionary_encode(rows["conv_id"].combine_chunks()).indices
+    ).astype(np.int64)
+    ts = np.asarray(rows["ts"].combine_chunks().cast(pa.int64()))
+    last = np.full(codes.max() + 1, np.iinfo(np.int64).min, np.int64)
+    np.maximum.at(last, codes, ts)
+    keep = ts >= last[codes] - S.MAX_WINDOW_US
+    rows = rows.filter(pa.array(keep)).combine_chunks()
+    codes, ts = codes[keep], ts[keep]
 
-    if gold_out is not None and gold_out.num_rows:
-        # store each conv's final gold row KEY for future lead1_ts patches
-        conv_g = gold_out["conv_id"].combine_chunks()
-        tails_new = latest_per_conv(gold_out).select(KEY)
-        if tails is not None and tails.num_rows:
-            gone = pc.invert(pc.is_in(tails["conv_id"], value_set=conv_g.unique()))
-            tails_new = pa.concat_tables(
-                [tails_new, tails.filter(gone).select(KEY)], promote_options="default"
-            )
-        new["tails"] = f"tails-{run_id}.parquet"
-        M.atomic_write_table(tails_new, F.join(state_dir, new["tails"]))
-    elif pointer.get("tails"):
-        # keep referencing the previous generation's tails unchanged
-        new["tails"] = pointer["tails"]
-
-    _commit_state(state_dir, new)
+    # each conv's latest row: max ts, then max turn_idx (latest_per_conv)
+    turn = np.asarray(rows["turn_idx"].combine_chunks()).astype(np.int64)
+    at_last = ts == last[codes]
+    top = np.full(len(last), np.iinfo(np.int64).min, np.int64)
+    np.maximum.at(top, codes[at_last], turn[at_last])
+    is_latest = at_last & (turn == top[codes])
+    pos = pc.index_in(
+        rows["conv_id"].combine_chunks().filter(pa.array(is_latest)),
+        value_set=summary["conv_id"].combine_chunks(),
+    )
+    carry = []
+    for c in _CARRY:
+        vals = np.zeros(rows.num_rows, np.int64)
+        # to_numpy raises on a null: every conversation has a summary
+        vals[is_latest] = pc.take(summary[c].combine_chunks(), pos).to_numpy()
+        carry.append(pa.array(vals, pa.int64(), mask=~is_latest))
+    return pa.Table.from_arrays(rows.columns + carry, schema=schema)
 
 
 def run_stream_incremental(
@@ -504,7 +509,7 @@ def run_stream_incremental(
 ) -> dict:
     """Former entry point of the carried-state plan, now
     :func:`medallion.run_stream` itself. ``run_seq`` is accepted for old
-    callers and unused: the state pointer orders runs."""
+    callers and unused: each partition's state names its last run."""
     return run_stream(
         bronze_path, out_root, run_id=run_id, processed_at=processed_at,
         ingest_window=ingest_window, num_parts=num_parts, gold_cfg=gold_cfg,

@@ -12,7 +12,9 @@ SURVEY.md §3.1) as:
    this run's silver rows, build gold for the run's turns against the
    partition's carried state, merge the rows into the partition's
    ``gold/part=*/dt=*/data.parquet`` files, upsert the online table, and
-   commit the new state generation last.
+   commit the partition's new state, ``state/part=*/state.arrow``, last:
+   one Arrow IPC file holding the trailing window of text-free rows and
+   each conversation's carried counters, renamed into place.
 
 The input's size on disk picks how steps 1-4 run. An input the sized
 read would make one block (``sources.reads.num_blocks_for`` == 1, at most
@@ -30,14 +32,14 @@ window (:func:`_gold_partition_bounded`). A late turn or a conflicting
 redelivery sends its conversation to the exact full recompute over the
 partition's silver history — the blast radius of a late turn is its
 conversation (north-rule B12). A partition with no carried state (the
-first run, or a lake written before state existed) takes the full
+first run, or a lake written in an older state layout) takes the full
 recompute for every conversation, so a single backfill run IS the full
 recompute, the reference the tests compare every windowed run against.
 Unlike the reference — whose gold only sees the current window's slice,
 silently truncating 24h/7d features (silver_and_gold.py:200-207) — gold
 here always equals a computation over full history (SURVEY.md §7.3).
 
-Resume: a partition whose state pointer names the run is skipped; every
+Resume: a partition whose ``state.arrow`` names the run is skipped; every
 gold/online write is an idempotent key-replace merge, so kill-and-rerun
 converges to the same outputs.
 """
@@ -56,6 +58,7 @@ import pyarrow.compute as pc
 
 from .. import schema as S
 from ..stages.featurize import (
+    N_CHARS_COL,
     GoldConfig,
     dedup_first,
     gold_features_partition,
@@ -390,10 +393,11 @@ def _gold_partition_bounded(
     ``last_ts``, from the carried state alone. Exactness argument:
 
     - every trailing window is <= Δmax = ``schema.MAX_WINDOW_US``,
-      and ``window`` holds each conversation's last Δmax of silver rows,
-      so it enters the fused pass as ``__prefix=1`` context — the same
-      machinery as the salted shard overlap (stages/salted.py) — and
-      later turns never alter earlier rows' aggregates;
+      and ``window`` holds each conversation's last Δmax of silver rows
+      (their ``n_chars`` in place of ``text``), so it enters the fused
+      pass as ``__prefix=1`` context — the same machinery as the salted
+      shard overlap (stages/salted.py) — and later turns never alter
+      earlier rows' aggregates;
     - session_id / session_turn_idx / lag have unbounded lookback, but
       depend only on the carried per-conversation summary (session-break
       count ``b_prior``, open-session run ``trail_in``, ``last_ts``),
@@ -402,14 +406,16 @@ def _gold_partition_bounded(
     Returns ``(gold rows of new, per-conversation summary of this pass)``;
     the caller rolls the summary and patches the previous last row's
     ``lead1_ts``."""
-    silver_cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
     active = pc.unique(new["conv_id"].combine_chunks())
     parts = []
     if window is not None and window.num_rows:
         prefix = window.filter(pc.is_in(window["conv_id"], value_set=active))
         if prefix.num_rows:
-            parts.append(_tag(prefix.select(silver_cols), prefix=1))
-    parts.append(_tag(new.select(silver_cols), prefix=0))
+            cols = ["conv_id", "turn_idx", "role", N_CHARS_COL, "tool", "ts"]
+            parts.append(_tag(prefix.select(cols), prefix=1))
+    parts.append(
+        _tag(new.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"]), prefix=0)
+    )
     combined = pa.concat_tables(parts, promote_options="default")
     phase_a = gold_partition_phase_a(
         combined, dataclasses.replace(cfg, compute_turn_idx=False, dedup=False)

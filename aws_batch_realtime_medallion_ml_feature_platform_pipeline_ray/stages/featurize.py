@@ -13,7 +13,9 @@ serves two entry points: :func:`gold_features_partition` on an untagged
 partition, and ``salted.gold_partition_phase_a`` on a tagged one, where
 ``__shard`` joins ``conv_id`` in the segment key and ``__prefix`` rows
 (a salted shard's overlap copies, or the stream's carried trailing
-window) feed window, lag and session state without being emitted. The
+window) feed window, lag and session state without being emitted. A
+prefix row may carry its text length in ``n_chars`` and a null ``text``:
+the carried window stores no text. The
 window widths are fixed by the gold column names: ``schema.H1``
 (``turns_1h``, ``chars_1h``, ``<role>_turns_1h``), ``schema.H24``
 (``tool_count_24h``) and ``schema.D7`` (``avg_chars_7d``).
@@ -45,6 +47,7 @@ from .. import schema as S
 TS_NULL = np.int64(np.iinfo(np.int64).min)
 SHARD_COL = "__shard"     # int64 segment key next to conv_id in tagged tables
 PREFIX_COL = "__prefix"   # int8: 1 = context row (window/lag/session state only)
+N_CHARS_COL = "n_chars"   # int32 text length of a context row that has no text
 
 
 def dedup_first(
@@ -173,12 +176,15 @@ def _gold_pass(
 
     # ---- trailing windows over all rows ----
     ts_adj = W.adjusted_ts(ts, seg_id, S.MAX_WINDOW_US)
+    # a row's chars: N_CHARS_COL where set (the stream's carried prefix
+    # rows hold their length, not their text), else the text's length.
     # fill_null(0): one null text must not become NaN — the prefix-sum
     # windowed_sum would poison chars_1h/avg_chars_7d for EVERY later row
     # in the partition (and DuckDB's SUM skips NULLs, i.e. counts 0)
-    chars = np.asarray(
-        pc.utf8_length(tbl["text"].combine_chunks()).cast(pa.int64()).fill_null(0)
-    ).astype(np.float64)
+    chars = pc.utf8_length(tbl["text"].combine_chunks())
+    if N_CHARS_COL in tbl.column_names:
+        chars = pc.coalesce(tbl[N_CHARS_COL].combine_chunks(), chars)
+    chars = np.asarray(chars.cast(pa.int64()).fill_null(0)).astype(np.float64)
     l1, r1 = W.trailing_bounds(ts_adj, S.H1)
     l24, r24 = W.trailing_bounds(ts_adj, S.H24)
     l7, r7 = W.trailing_bounds(ts_adj, S.D7)

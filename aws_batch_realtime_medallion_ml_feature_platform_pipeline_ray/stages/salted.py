@@ -287,12 +287,8 @@ def _apply_corrections(batch: pa.Table, corr: pd.DataFrame, compute_turn_idx: bo
         c_b_prior = corr["b_prior"].to_numpy(np.int64)[c_order]
         c_trail_in = corr["trail_in"].to_numpy(np.int64)[c_order]
         c_n_real = corr["n_real"].to_numpy(np.int64)[c_order]
-        pl_ser = corr["prev_last_ts"]
-        nf_ser = corr["next_first_ts"]
-        c_has_prev = pl_ser.notna().to_numpy()[c_order]
-        c_prev = pl_ser.fillna(0).astype(np.int64).to_numpy()[c_order]
-        c_has_next = nf_ser.notna().to_numpy()[c_order]
-        c_next = nf_ser.fillna(0).astype(np.int64).to_numpy()[c_order]
+        c_has_prev, c_prev = _ints_or_zero(corr["prev_last_ts"], c_order)
+        c_has_next, c_next = _ints_or_zero(corr["next_first_ts"], c_order)
         c_no_prefix = corr["no_prefix"].to_numpy(dtype=bool)[c_order]
 
         # batch-side probe: Arrow hash lookup of conv, then packed key
@@ -345,6 +341,15 @@ def _apply_corrections(batch: pa.Table, corr: pd.DataFrame, compute_turn_idx: bo
         pa.array(np.where(gap_null, 0.0, gap), pa.float64(), mask=gap_null),
     )
     return out
+
+
+def _ints_or_zero(ser: pd.Series, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(not-null mask, int64 values with 0 at nulls)`` of a nullable
+    column (object or float dtype), taken in ``order``."""
+    valid = ser.notna().to_numpy()
+    vals = np.zeros(len(ser), np.int64)
+    vals[valid] = ser.to_numpy()[valid].astype(np.int64)
+    return valid[order], vals[order]
 
 
 def _set(tbl: pa.Table, name: str, arr: pa.Array) -> pa.Table:

@@ -210,66 +210,95 @@ def _fs_protocol(fs) -> str:
     return proto[0] if isinstance(proto, (tuple, list)) else proto
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Commit a small text/JSON file: temp + rename on filesystems with
-    atomic rename (posix paths, file://, memory://), direct object PUT
-    on object stores (single-object PUT is atomic)."""
+def _write_atomic(path: str, write) -> None:
+    """Commit one file written by ``write(f)`` on a binary file: temp +
+    rename on filesystems with atomic rename (posix paths, file://,
+    memory://), direct object PUT on object stores (single-object PUT is
+    atomic)."""
     if not is_uri(path):
+        import pyarrow as pa
+
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-        return
-    fs, p = split_fs(path)
-    if _fs_protocol(fs) in _RENAME_PROTOCOLS:
-        fs.makedirs(posixpath.dirname(p), exist_ok=True)
-        tmp = p + f".tmp-{uuid.uuid4().hex[:8]}"
-        with fs.open(tmp, "w") as f:
-            f.write(text)
-        fs.mv(tmp, p)
-        return
-    with open_(path, "w") as f:
-        f.write(text)
-
-
-def write_table_atomic(tbl, path: str, **kwargs) -> None:
-    """Commit one parquet file: temp + rename on filesystems with atomic
-    rename, direct PUT on object stores."""
-    import pyarrow.parquet as pq
-
-    kwargs.setdefault("compression", "snappy")
-    if not is_uri(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-        pq.write_table(tbl, tmp, **kwargs)
+        with pa.OSFile(tmp, "wb") as f:
+            write(f)
         os.replace(tmp, path)
         return
     fs, p = split_fs(path)
     fs.makedirs(posixpath.dirname(p), exist_ok=True)
     if _fs_protocol(fs) in _RENAME_PROTOCOLS:
         tmp = p + f".tmp-{uuid.uuid4().hex[:8]}"
-        pq.write_table(tbl, tmp, filesystem=fs, **kwargs)
+        with fs.open(tmp, "wb") as f:
+            write(f)
         fs.mv(tmp, p)
         return
-    pq.write_table(tbl, p, filesystem=fs, **kwargs)
+    with fs.open(p, "wb") as f:
+        write(f)
 
 
-def read_table(path: str, **kwargs):
+def write_text_atomic(path: str, text: str) -> None:
+    """Commit a small text/JSON file, UTF-8 encoded (see
+    :func:`_write_atomic`)."""
+    _write_atomic(path, lambda f: f.write(text.encode()))
+
+
+def write_table_atomic(tbl, path: str, **kwargs) -> None:
+    """Commit one parquet file (see :func:`_write_atomic`)."""
     import pyarrow.parquet as pq
 
+    kwargs.setdefault("compression", "snappy")
+    _write_atomic(path, lambda f: pq.write_table(tbl, f, **kwargs))
+
+
+# the lake's IPC files are small: LZ4 halves them for about the cost of
+# the write, and compressing their buffers one after another is cheaper
+# than handing them to a thread pool
+_IPC_WRITE = dict(compression="lz4", use_threads=False)
+
+
+def write_ipc_atomic(tbl, path: str) -> None:
+    """Commit one LZ4-compressed Arrow IPC file, schema metadata included
+    (see :func:`_write_atomic`)."""
+    import pyarrow as pa
+
+    def write(f):
+        opts = pa.ipc.IpcWriteOptions(**_IPC_WRITE)
+        with pa.ipc.new_file(f, tbl.schema, options=opts) as w:
+            w.write_table(tbl)
+
+    _write_atomic(path, write)
+
+
+def _read(path: str, read):
+    """``read(f)`` on ``path`` opened for binary reading: a native file
+    locally, the fsspec file over URIs."""
     if not is_uri(path):
-        return pq.read_table(path, **kwargs)
+        import pyarrow as pa
+
+        with pa.OSFile(path) as f:
+            return read(f)
     fs, p = split_fs(path)
-    return pq.read_table(p, filesystem=fs, **kwargs)
+    with fs.open(p, "rb") as f:
+        return read(f)
+
+
+def read_table(path: str):
+    """One whole parquet file, schema metadata included."""
+    import pyarrow.parquet as pq
+
+    return _read(path, lambda f: pq.ParquetFile(f).read())
+
+
+def read_ipc(path: str):
+    """One whole Arrow IPC file, schema metadata included."""
+    import pyarrow as pa
+
+    opts = pa.ipc.IpcReadOptions(use_threads=False)
+    return _read(path, lambda f: pa.ipc.open_file(f, options=opts).read_all())
 
 
 def parquet_rows(path: str) -> int:
     """Row count from the parquet footer only (no data pages)."""
     import pyarrow.parquet as pq
 
-    if not is_uri(path):
-        return pq.ParquetFile(path).metadata.num_rows
-    fs, p = split_fs(path)
-    with fs.open(p, "rb") as f:
-        return pq.ParquetFile(f).metadata.num_rows
+    return _read(path, lambda f: pq.ParquetFile(f).metadata.num_rows)

@@ -17,7 +17,7 @@ import json
 import os
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import fsio as F
 
@@ -56,8 +56,9 @@ def write_manifest(root: str, m: PartitionManifest) -> None:
         m.commit_ts = time.time()
     path = manifest_path(root, m.stage, m.partition_key, m.run_id)
     # temp + rename locally; direct atomic object PUT on URI filesystems
-    # — either way a manifest exists only if complete
-    F.write_text_atomic(path, json.dumps(asdict(m)))
+    # — either way a manifest exists only if complete. vars(): no field
+    # holds a dataclass, so asdict's recursive deep copy buys nothing
+    F.write_text_atomic(path, json.dumps(vars(m)))
 
 
 def read_manifest(root: str, stage: str, partition_key: str, run_id: str) -> PartitionManifest:

@@ -1,7 +1,9 @@
 """Byte-level pin of the fused gold kernel, without Ray.
 
 ``gold_features_partition`` and ``gold_partition_phase_a`` +
-``_apply_corrections`` run on seeded ``generate_transcripts`` tables; the
+``_apply_corrections`` run on seeded ``generate_transcripts`` tables (the
+salted path also with prefix rows that carry ``n_chars`` in place of
+``text``, as the stream's carried window does); the
 SHA-256 of each output's Arrow IPC stream is compared with a recorded
 digest. Unlike the oracle's value hash this pins column order, types,
 null masks and row order, so a refactor of the kernel that changes any
@@ -24,6 +26,7 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.trans
     generate_transcripts,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
+    N_CHARS_COL,
     GoldConfig,
     gold_features_partition,
 )
@@ -71,11 +74,28 @@ def _digest(tbl: pa.Table) -> str:
     return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()
 
 
-def _salted(tbl: pa.Table, cfg: GoldConfig, hot_keys: pa.Array) -> pa.Table:
+def _textless_prefix(tagged: pa.Table) -> pa.Table:
+    """Prefix rows as the stream carries them: ``n_chars`` set, ``text``
+    null; real rows keep their text and a null ``n_chars``."""
+    prefix = pc.equal(tagged["__prefix"], 1)
+    text = tagged["text"].combine_chunks()
+    n_chars = pc.if_else(prefix, pc.utf8_length(text), pa.scalar(None, pa.int32()))
+    tagged = tagged.set_column(
+        tagged.schema.get_field_index("text"), "text",
+        pc.if_else(prefix, pa.scalar(None, pa.string()), text),
+    )
+    return tagged.append_column(N_CHARS_COL, n_chars)
+
+
+def _salted(
+    tbl: pa.Table, cfg: GoldConfig, hot_keys: pa.Array, textless: bool = False
+) -> pa.Table:
     """The salted plan on one partition: tag (+prefix copies), phase A,
     shard summaries, stitch."""
     overlap = max(S.D7, cfg.gap_us)
     tagged = _tag_salted(tbl, "conv_id", 1, 1, hot_keys, overlap, overlap)
+    if textless:
+        tagged = _textless_prefix(tagged)
     phase_a = gold_partition_phase_a(tagged.drop_columns([PART_COL]), cfg)
     summary = phase_a.select(["conv_id", SHARD_COL, *_SUM_COLS]).filter(
         pc.and_(
@@ -102,6 +122,8 @@ CASES = [
     ("plain", "default"), ("plain", "no_dedup"), ("plain", "events"),
     ("phase_a", "default"), ("phase_a", "no_dedup"), ("phase_a", "events"),
     ("salted", "default"), ("salted", "no_dedup"), ("salted", "events"),
+    # prefix rows with n_chars and a null text, as the stream carries them
+    ("textless", "default"), ("textless", "no_dedup"), ("textless", "events"),
 ]
 
 
@@ -114,7 +136,7 @@ def test_gold_kernel_bytes_pinned(kernel, cfg_name):
     elif kernel == "phase_a":
         out = _salted(tbl, cfg, pa.array([], pa.string()))
     else:
-        out = _salted(tbl, cfg, _all_convs(tbl))
+        out = _salted(tbl, cfg, _all_convs(tbl), textless=kernel == "textless")
     assert out.num_rows > 0
     assert _digest(out) == EXPECTED[cfg_name]
 
@@ -126,5 +148,10 @@ def test_salted_fixture_has_prefix_copies():
     overlap = max(S.D7, S.SESSION_GAP_US)
     tagged = _tag_salted(tbl, "conv_id", 1, 1, _all_convs(tbl), overlap, overlap)
     assert pc.sum(tagged["__prefix"]).as_py() > 0
+    textless = _textless_prefix(tagged)
+    prefix = pc.equal(textless["__prefix"], 1)
+    assert textless["text"].filter(prefix).null_count == pc.sum(prefix).as_py()
+    assert textless[N_CHARS_COL].filter(pc.invert(prefix)).null_count == pc.sum(
+        pc.invert(prefix)).as_py()
     per_conv = tagged.group_by("conv_id").aggregate([(SHARD_COL, "count_distinct")])
     assert pc.max(per_conv[f"{SHARD_COL}_count_distinct"]).as_py() > 1

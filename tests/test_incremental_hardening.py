@@ -1,8 +1,9 @@
 """Hardening behaviors of the carried-state stream plan: exact
 re-deliveries leave gold untouched, conflicting re-deliveries (same
 key, different ts) trigger the late full-recompute and converge to the
-dedup contract, equal-ts ties route late, state commits are atomic
-pointer swaps with no text payload, and the partition layout is pinned."""
+dedup contract, equal-ts ties route late, the state is one atomically
+renamed file with no text payload (and a partition that lost it takes
+the full recompute), and the partition layout is pinned."""
 
 import glob
 import json
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -185,23 +187,78 @@ def test_state_pointer_atomic_and_textless(ray_session, tmp_path):
                            processed_at=PROCESSED_AT, num_parts=2)
     dirs = glob.glob(os.path.join(out, "state", "part=*"))
     assert dirs
-    saw_tails = False
     for d in dirs:
-        ptr = os.path.join(d, "_current.json")
-        assert os.path.exists(ptr)
-        with open(ptr) as f:
-            names = json.load(f)
-        # only the committed generation's files remain
-        for pat in ("rows-*.parquet", "summary-*.parquet", "tails-*.parquet"):
-            for f2 in glob.glob(os.path.join(d, pat)):
-                assert os.path.basename(f2) in names.values(), f2
-        if names.get("tails"):
-            t = pq.read_table(os.path.join(d, names["tails"]))
-            saw_tails = True
-            # lead1_ts repair state is KEYS only — no feature payload,
-            # no text, lives forever without growing with row width
-            assert set(t.column_names) == {"conv_id", "turn_idx"}
-    assert saw_tails
+        # one committed file: no pointer, temp file or older generation
+        assert os.listdir(d) == ["state.arrow"]
+        with pa.OSFile(os.path.join(d, "state.arrow")) as f:
+            t = pa.ipc.open_file(f).read_all()
+        assert t.schema.metadata[b"run_id"] == b"r1"
+        assert json.loads(t.schema.metadata[b"gold"])
+        # no text: window rows carry their length, and only each
+        # conversation's latest row carries its summary
+        assert "text" not in t.column_names
+        assert t["n_chars"].to_pylist() == [len("hello world")] * t.num_rows
+        latest = t.filter(pc.is_valid(t["b_prior"]))
+        assert latest["conv_id"].to_pylist() == ["c1"]
+        assert latest["turn_idx"].to_pylist() == [5]
+        assert latest["max_turn"].to_pylist() == [5]
+
+
+def test_deleted_state_takes_full_recompute(ray_session, tmp_path):
+    """A partition without ``state.arrow`` (deleted, or a lake written in
+    an older state layout) recomputes every conversation from silver and
+    converges to the lake that kept its state."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
+        manifest as M,
+    )
+
+    wins = [
+        [_row("c1", i, 10 * i) for i in range(4)] + [_row("c2", 0, 5)],
+        [_row("c1", i, 10 * i) for i in range(4, 7)] + [_row("c2", 1, 100)],
+        [_row("c1", 7, 200), _row("c2", 2, 150), _row("c3", 0, 160)],
+    ]
+    dirs = [_bronze(r, tmp_path, f"b{i}") for i, r in enumerate(wins)]
+    ref, out = str(tmp_path / "ref"), str(tmp_path / "lake")
+
+    def run(lake, i):
+        run_stream(dirs[i], lake, run_id=f"r{i}", processed_at=PROCESSED_AT,
+                   num_parts=2)
+
+    for lake in (ref, out):
+        run(lake, 0)
+        run(lake, 1)
+    gone = glob.glob(os.path.join(out, "state", "part=*", "state.arrow"))
+    assert gone
+    for f in gone:
+        os.remove(f)
+    run(ref, 2)
+    run(out, 2)
+
+    def modes(lake):
+        return {m.extra["gold_mode"] for m in M.load_manifests(
+            os.path.join(lake, "gold"), "gold") if m.run_id == "r2"}
+
+    assert modes(ref) == {"carried"}
+    assert modes(out) == {"full"}
+    _compare(_merged(out), _merged(ref))
+    _compare(_merged(out), _full_ref(dirs, tmp_path, "deleted"))
+
+    def state(lake):
+        got = {}
+        for f in glob.glob(os.path.join(lake, "state", "part=*", "state.arrow")):
+            with pa.OSFile(f) as fh:
+                t = pa.ipc.open_file(fh).read_all()
+            got[os.path.relpath(f, lake)] = (
+                t.schema.metadata,
+                t.to_pandas().sort_values(["conv_id", "turn_idx"], ignore_index=True),
+            )
+        return got
+
+    want, got = state(ref), state(out)
+    assert sorted(got) == sorted(want)
+    for path, (meta, rows) in want.items():
+        assert got[path][0] == meta
+        pd.testing.assert_frame_equal(got[path][1], rows)
 
 
 def test_num_parts_layout_is_pinned(ray_session, tmp_path):

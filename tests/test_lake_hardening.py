@@ -139,8 +139,8 @@ def _two_windows(tmp_path):
 def _crashed_run(monkeypatch, bronze, out, run_id, point):
     """Run ``run_id``'s partition step in-process for every partition,
     raising inside each one right after commit ``point`` (for the state
-    swap: after the state files, before the pointer). Returns the number
-    of crashed partitions."""
+    commit: instead of renaming ``state.arrow`` into place). Returns the
+    number of crashed partitions."""
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
         incremental as I,
     )
@@ -203,13 +203,12 @@ def _crashed_run(monkeypatch, bronze, out, run_id, point):
 def _lake_digest(out):
     """Every gold, online and state file's content, by relative path."""
     got = {}
-    for sub in ("gold/part=*/dt=*/*.parquet", "online/part=*/*.parquet",
-                "state/part=*/*.parquet"):
+    for sub in ("gold/part=*/dt=*/*.parquet", "online/part=*/*.parquet"):
         for f in glob.glob(os.path.join(out, sub)):
             got[os.path.relpath(f, out)] = pq.read_table(f)
-    for f in glob.glob(os.path.join(out, "state", "part=*", "_current.json")):
-        with open(f) as fh:
-            got[os.path.relpath(f, out)] = json.load(fh)
+    for f in glob.glob(os.path.join(out, "state", "part=*", "*")):
+        with open(f, "rb") as fh:
+            got[os.path.relpath(f, out)] = fh.read()
     return got
 
 
@@ -239,7 +238,7 @@ def _assert_crash_recovers(monkeypatch, tmp_path, point, plan):
     want, got = _lake_digest(ref), _lake_digest(out)
     assert sorted(got) == sorted(want)
     for path, w in want.items():
-        assert got[path] == w if isinstance(w, dict) else got[path].equals(w), path
+        assert got[path] == w if isinstance(w, bytes) else got[path].equals(w), path
     rep = reconcile_lake(out)
     assert rep["ok"], rep
 
@@ -248,7 +247,7 @@ def _assert_crash_recovers(monkeypatch, tmp_path, point, plan):
 def test_resume_recovers_lost_gold_stage(ray_session, monkeypatch, tmp_path, plan):
     """Crash after the silver commit, before any gold write: rerunning
     the same run_id must rebuild gold, online and state exactly (the
-    skip is keyed on the state pointer, committed last)."""
+    skip is keyed on the run id in ``state.arrow``, committed last)."""
     _assert_crash_recovers(monkeypatch, tmp_path, "silver", plan)
 
 
@@ -308,6 +307,24 @@ def test_backfill_targets_accepts_T_separator(tmp_path):
         max_ts="2026-01-02 23:59:59"))
     assert M.backfill_targets(root, "silver", "2026-01-02T00:00:00") == {"00001"}
     assert M.backfill_targets(root, "silver", "2026-01-03T00:00:00") == set()
+
+
+def test_manifest_json_is_asdict_json(tmp_path):
+    """write_manifest serializes the field dict directly; the file must
+    stay byte-identical to the ``dataclasses.asdict`` encoding."""
+    import dataclasses
+
+    root = str(tmp_path / "gold")
+    m = M.PartitionManifest(
+        stage="gold", partition_key="00003", run_id="r7", rows_out=5,
+        rows_in=9, min_ts="2026-01-01 00:00:00", max_ts=None, wall_s=0.25,
+        files=[os.path.join(root, "part=00003", "dt=2026-01-01", "data.parquet")],
+        extra={"gold_mode": "carried", "late_convs": 1, "nested": {"a": [1, 2]}},
+    )
+    M.write_manifest(root, m)
+    with open(M.manifest_path(root, "gold", "00003", "r7")) as f:
+        assert f.read() == json.dumps(dataclasses.asdict(m))
+    assert M.read_manifest(root, "gold", "00003", "r7") == m
 
 
 def test_run_daily_empty_dt_range(ray_session, tmp_path):

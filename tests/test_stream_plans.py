@@ -33,8 +33,7 @@ LAKE_FILES = (
     "silver/part=*/*.parquet",
     "gold/part=*/dt=*/*.parquet",
     "online/part=*/*.parquet",
-    "state/part=*/*.parquet",
-    "state/part=*/_current.json",
+    "state/part=*/*",
 )
 # per-task wall times: the only run-result figures that differ between runs
 WALL_KEYS = {"sum_task_wall_s", "rows_per_task_s", "task_wall_p50_s",
