@@ -143,7 +143,12 @@ def main(argv=None) -> int:
     s.add_argument("--processed-at", default=None)
     s.set_defaults(fn=cmd_run_stream)
 
-    d = sub.add_parser("build-datasets", help="gold → train/val/inference")
+    build_help = (
+        "gold → train/val/inference. Gold of at most 4 MiB is built in one "
+        "Ray task, larger gold through Ray Data; the printed record names "
+        "the plan."
+    )
+    d = sub.add_parser("build-datasets", help=build_help, description=build_help)
     d.add_argument("--out", required=True)
     d.add_argument("--dt-start", default=None)
     d.add_argument("--dt-end", default=None)

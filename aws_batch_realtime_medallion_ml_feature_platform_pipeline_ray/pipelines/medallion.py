@@ -47,6 +47,7 @@ converges to the same outputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 from ..state import fsio as F
@@ -187,14 +188,8 @@ def run_stream(
     files = parquet_files(bronze_path)
     input_bytes = sum(size for _, size in files)
     if files and num_blocks_for(input_bytes) == 1:
-        import ray
-
         plan = "one_task"
-        rows = ray.get(
-            ray.remote(_run_partitions_one_task).remote(
-                [f for f, _ in files], prep, step
-            )
-        )
+        rows = run_one_task(_run_partitions_one_task, [f for f, _ in files], prep, step)
         stats = pa.concat_tables(rows).to_pandas() if rows else pd.DataFrame()
     else:
         plan = "exchange"
@@ -224,6 +219,23 @@ def run_stream(
     run_manifest = F.join(out_root, f"run-{run_id}.json")
     F.write_text_atomic(run_manifest, json.dumps(result, indent=1))
     return result
+
+
+@functools.cache
+def _remote(fn):
+    import ray
+
+    return ray.remote(fn)
+
+
+def run_one_task(fn, *args):
+    """``fn(*args)`` as one Ray task; the one-block plans (``run_stream``,
+    ``daily.run_daily``) run through here. Each function is wrapped once
+    per process: Ray pickles and exports a wrapped function on its first
+    call in each session, not on every call."""
+    import ray
+
+    return ray.get(_remote(fn).remote(*args))
 
 
 def _prepare_bronze(t: pa.Table, *, processed_at, window, num_parts) -> pa.Table:

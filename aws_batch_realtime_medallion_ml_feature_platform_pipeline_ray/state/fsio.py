@@ -214,13 +214,18 @@ def _write_atomic(path: str, write) -> None:
     """Commit one file written by ``write(f)`` on a binary file: temp +
     rename on filesystems with atomic rename (posix paths, file://,
     memory://), direct object PUT on object stores (single-object PUT is
-    atomic)."""
+    atomic). Locally the parent directory is created only when opening
+    the temp file finds it missing: most writes go to one that exists."""
     if not is_uri(path):
         import pyarrow as pa
 
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-        with pa.OSFile(tmp, "wb") as f:
+        try:
+            f = pa.OSFile(tmp, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            f = pa.OSFile(tmp, "wb")
+        with f:
             write(f)
         os.replace(tmp, path)
         return

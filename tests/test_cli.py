@@ -57,6 +57,21 @@ def test_run_stream_window_end_cli(ray_session, cli_bronze, tmp_path, capsys):
     assert glob.glob(os.path.join(out, "gold", "part=*", "dt=*", "*.parquet"))
 
 
+def test_build_datasets_cli(ray_session, cli_bronze, tmp_path, capsys):
+    """``build-datasets`` over a one-block gold: exit 0, the plan in the
+    printed record, and train + validation together hold every gold row."""
+    out = str(tmp_path / "lake_daily")
+    run_stream(cli_bronze, out, run_id="d1", processed_at=PROCESSED_AT, num_parts=4)
+    capsys.readouterr()
+    rc = main(["build-datasets", "--out", out, "--processed-at", PROCESSED_AT])
+    assert rc == 0
+    meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert meta["plan"] == "one_task" and meta["input_bytes"] > 0
+    gold = glob.glob(os.path.join(out, "gold", "part=*", "dt=*", "*.parquet"))
+    gold_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in gold)
+    assert meta["counts"]["train"] + meta["counts"]["validation"] == gold_rows > 0
+
+
 def test_string_window_matches_timestamp_window(ray_session, cli_bronze, tmp_path):
     """str and pd.Timestamp windows produce identical gold bytes."""
     lo, hi = _window_bounds(cli_bronze)

@@ -337,4 +337,5 @@ def test_run_daily_empty_dt_range(ray_session, tmp_path):
                num_parts=2)
     meta = run_daily(out, created_at=PROCESSED_AT, dt_start="2030-01-01")
     assert meta["counts"] == {"train": 0, "validation": 0, "inference": 0}
+    assert meta["plan"] is None and meta["input_bytes"] == 0
     assert os.path.exists(os.path.join(out, "datasets", "metadata.json"))

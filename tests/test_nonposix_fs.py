@@ -335,3 +335,25 @@ def test_orc_stripe_rows_deterministic(tmp_path):
     r = paorc.ORCFile(files[0])
     assert r.nstripes == 5
     assert [r.read_stripe(i).num_rows for i in range(5)] == [2_000] * 5
+
+
+@pytest.mark.parametrize("uri", [False, True])
+def test_atomic_write_creates_missing_dirs(tmp_path, uri):
+    """A write into a directory that does not exist yet commits (the
+    local writer creates the parent only when the temp file's open finds
+    it missing) and leaves no temp file behind."""
+    root = str(tmp_path / "w")
+    base = "file://" + root if uri else root
+    F.write_table_atomic(pa.table({"x": [1, 2]}), F.join(base, "a", "b", "data.parquet"))
+    F.write_text_atomic(F.join(base, "c", "d", "m.json"), '{"k": 1}')
+    F.write_ipc_atomic(pa.table({"y": [3]}), F.join(base, "a", "b", "s.arrow"))
+    F.write_text_atomic(F.join(base, "c", "d", "m.json"), '{"k": 2}')  # dir exists now
+    assert F.read_table(F.join(base, "a", "b", "data.parquet")).num_rows == 2
+    assert F.read_ipc(F.join(base, "a", "b", "s.arrow"))["y"].to_pylist() == [3]
+    with open(os.path.join(root, "c", "d", "m.json")) as f:
+        assert json.load(f) == {"k": 2}
+    left = [
+        os.path.relpath(os.path.join(d, n), root)
+        for d, _, names in os.walk(root) for n in names
+    ]
+    assert sorted(left) == ["a/b/data.parquet", "a/b/s.arrow", "c/d/m.json"]
