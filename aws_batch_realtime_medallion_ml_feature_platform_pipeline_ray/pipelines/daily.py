@@ -155,7 +155,11 @@ def run_daily(
     per-dataset ``counts``, ``plan`` (``"one_task"`` or ``"dataset"``,
     chosen from the input's size — see the module docstring; ``None`` for
     a range with no gold, which builds empty datasets without Ray) and
-    ``input_bytes`` (on-disk bytes of the gold files the build reads)."""
+    ``input_bytes`` (on-disk bytes of the gold files the build reads).
+    ``inference_days`` below 1 raises ``ValueError`` before anything is
+    written: there is no empty or negative suffix of the gold's dts."""
+    if inference_days < 1:
+        raise ValueError(f"inference_days must be >= 1, got {inference_days}")
     gold_dir = F.join(out_root, "gold")
     files, _ = gold_dt_fragments(gold_dir, dt_start, dt_end)
     datasets_root = F.join(out_root, "datasets")
@@ -176,9 +180,7 @@ def run_daily(
         # empty while the range has gold
         _, all_dts = gold_dt_fragments(gold_dir)
         recent = all_dts[-inference_days:]
-        inf_files, _ = gold_dt_fragments(
-            gold_dir, recent[0] if recent else None, recent[-1] if recent else None
-        )
+        inf_files, _ = gold_dt_fragments(gold_dir, recent[0], recent[-1])
         input_bytes = sum(size for _, size in parquet_files(sorted({*files, *inf_files})))
         if num_blocks_for(input_bytes) == 1:
             plan = "one_task"

@@ -43,13 +43,16 @@ A run classifies the partition's new rows against the state:
 - so does a fresh turn whose ``turn_idx`` is at or below ``max_turn``:
   it may redeliver a key that has left the carried window, and only the
   full recompute can apply the dedup contract to it;
-- every other conversation is extended from its carried window
-  (``medallion._gold_partition_bounded``).
+- every other conversation is extended from its carried window.
 
-The full recompute is dedup + ``gold_features_partition`` over the
-conversation's silver history — the per-entity blast radius of B12. A
-partition with no ``state.arrow`` (a new lake, or one written in an
-older state layout) takes it for every conversation.
+The full recompute is dedup + the gold kernel over the conversation's
+silver history — the per-entity blast radius of B12. A partition with no
+``state.arrow`` (a new lake, or one written in an older state layout)
+takes it for every conversation. Both kinds go through ONE kernel call
+per partition-run (``medallion._gold_partition_bounded``): an extended
+conversation's window rows are context rows there, its latest row's
+``b_prior``/``trail_in`` seed its session numbering, and the next
+counters of every touched conversation come from its latest gold row.
 
 Commit order; every step is idempotent, so rerunning a crashed
 ``run_id`` converges to the uninterrupted result:
@@ -75,12 +78,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
-from ..stages.featurize import (
-    N_CHARS_COL,
-    GoldConfig,
-    dedup_first,
-    gold_features_partition,
-)
+from ..stages.featurize import N_CHARS_COL, GoldConfig, dedup_first
 from ..stages.keyed import PART_COL
 from ..state import feature_put as FP
 from ..state import fsio as F
@@ -200,7 +198,8 @@ def process_partition_incremental(
         ),
     )
 
-    # ---- gold rows: carried-window extension + full recompute ----
+    # ---- gold rows: one kernel call extends the conversations past their
+    # carried last_ts and recomputes the late ones ----
     t1 = time.perf_counter()
     latest = _latest_rows(window)
     summary = _summary(latest)
@@ -212,14 +211,6 @@ def process_partition_incremental(
     else:  # no carried state: every conversation is recomputed
         fresh, late_convs, extend = g, set(), g.slice(0, 0)
 
-    outputs, patches = [], None
-    if extend.num_rows:
-        gold_new, harvested = _gold_partition_bounded(window, extend, summary, cfg)
-        outputs.append(gold_new)
-        if latest.num_rows:
-            patches = _lead_patches(latest, harvested)
-        summary = _roll_summary(summary, harvested, extend)
-
     hist, clear_dts = None, set()
     if late_convs or not state:
         hist = _silver_history(silver_root, key, late_convs if state else None)
@@ -227,10 +218,12 @@ def process_partition_incremental(
         # conversation from every date any of its versions names
         clear_dts = set(pc.unique(hist["dt"]).to_pylist())
         hist = dedup_first(hist, KEY, ["ts", "ingest_ts"])
-        full = gold_features_partition(hist, cfg)
-        outputs.append(full)
-        summary = _rebuild_summary_from_full(summary, full)
-    gold_out = pa.concat_tables(outputs, promote_options="default") if outputs else None
+    gold_out = last_out = None
+    if extend.num_rows or hist is not None:
+        gold_out = _gold_partition_bounded(window, extend, hist, cfg)
+        last_out = latest_per_conv(gold_out)
+        summary = _next_summary(summary, last_out, gold_out)
+    patches = _lead_patches(latest, extend) if extend.num_rows else None
     recomputed = pc.unique(hist["conv_id"]) if hist is not None else _str_array(())
 
     # ---- 2. dt= merges ----
@@ -252,7 +245,7 @@ def process_partition_incremental(
     # validated + retried with tallies (S8) ----
     put = {"success": 0, "errors": 0}
     if gold_out is not None and gold_out.num_rows:
-        online_tbl = _upsert_online(online_root, key, latest_per_conv(gold_out))
+        online_tbl = _upsert_online(online_root, key, last_out)
         put = FP.put_partition(online_tbl, online_root, key, run_id=run_id)
 
     # ---- 4. gold manifest: the partition's whole dt= file set ----
@@ -378,41 +371,13 @@ def _max_turn(tbl: pa.Table, conv: pa.Array) -> np.ndarray:
     return np.asarray(pc.take(mt["turn_idx_max"].combine_chunks(), pos).cast(pa.int64()))
 
 
-def _roll_summary(summary: pa.Table, harvested: pa.Table, extend: pa.Table) -> pa.Table:
-    """Fold this run's per-conv pass summaries into the carried state —
-    vectorized over the active conversations only."""
-    if not harvested.num_rows:
+def _next_summary(summary: pa.Table, last: pa.Table, gold: pa.Table) -> pa.Table:
+    """``summary`` with each conversation of this run's ``gold`` replaced
+    by the counters of its latest gold row ``last``. ``max_turn`` needs
+    no maximum with the carried one: ``_classify`` sends a fresh turn at
+    or below it to the recompute."""
+    if not last.num_rows:
         return summary
-    conv = harvested["conv_id"].combine_chunks()
-    pos = pc.index_in(conv, value_set=summary["conv_id"].combine_chunks())
-
-    def prior(col: str, default: int) -> np.ndarray:
-        taken = pc.take(summary[col].combine_chunks(), pos)
-        return np.asarray(taken.fill_null(default))
-
-    n_breaks = np.asarray(harvested["n_breaks"])
-    upd = pa.table(
-        {
-            "conv_id": conv,
-            "b_prior": prior("b_prior", 0) + n_breaks,
-            "trail_in": np.where(
-                n_breaks > 0,
-                np.asarray(harvested["trail"]),
-                prior("trail_in", 0) + np.asarray(harvested["n_real"]),
-            ),
-            "last_ts": harvested["last_ts"],
-            "max_turn": np.maximum(prior("max_turn", -1), _max_turn(extend, conv)),
-        }
-    )
-    return _replace_convs(summary, upd)
-
-
-def _rebuild_summary_from_full(summary: pa.Table, full: pa.Table) -> pa.Table:
-    """After a full per-conv recompute, rebuild those convs' carry state
-    from their final gold rows."""
-    if not full.num_rows:
-        return summary
-    last = latest_per_conv(full)
     conv = last["conv_id"].combine_chunks()
     upd = pa.table(
         {
@@ -420,21 +385,19 @@ def _rebuild_summary_from_full(summary: pa.Table, full: pa.Table) -> pa.Table:
             "b_prior": pc.add(last["session_id"].cast(pa.int64()), 1),
             "trail_in": pc.add(last["session_turn_idx"].cast(pa.int64()), 1),
             "last_ts": last["ts"].cast(pa.int64()),  # us since epoch
-            "max_turn": _max_turn(full, conv),
+            "max_turn": _max_turn(gold, conv),
         }
     )
     return _replace_convs(summary, upd)
 
 
-def _lead_patches(latest: pa.Table, harvested: pa.Table) -> pa.Table:
+def _lead_patches(latest: pa.Table, extend: pa.Table) -> pa.Table:
     """``(conv_id, turn_idx, dt, lead1_ts)`` for each extended
     conversation's previous last gold row — its latest window row: its
-    ``lead1_ts`` becomes the first new turn's ts."""
+    ``lead1_ts`` becomes the conversation's first new ts."""
+    first = extend.group_by("conv_id").aggregate([("ts", "min")])
     first = pa.table(
-        {
-            "conv_id": harvested["conv_id"],
-            "lead1_ts": harvested["first_ts"].cast(pa.timestamp("us")),
-        }
+        {"conv_id": first["conv_id"], "lead1_ts": first["ts_min"].cast(pa.timestamp("us"))}
     )
     t = latest.select(KEY + ["ts"]).join(first, keys="conv_id", join_type="inner")
     dt = pc.strftime(t["ts"].combine_chunks(), format="%Y-%m-%d")

@@ -26,12 +26,14 @@ with one keyed exchange (``groupby(__part).map_groups``). Both plans make
 the same calls on the same partitions and write byte-identical lakes;
 the run record (``run-{id}.json``) names the plan and the input bytes.
 
-Either way there is one gold plan. A conversation whose new turns all
-come after its carried ``last_ts`` is extended from its carried trailing
-window (:func:`_gold_partition_bounded`). A late turn or a conflicting
-redelivery sends its conversation to the exact full recompute over the
-partition's silver history — the blast radius of a late turn is its
-conversation (north-rule B12). A partition with no carried state (the
+Either way there is one gold plan and one gold kernel call per
+partition-run (:func:`_gold_partition_bounded`). A conversation whose new
+turns all come after its carried ``last_ts`` is extended: its carried
+trailing window rows enter the call as context, and its latest carried
+row seeds the session numbering. A late turn or a conflicting redelivery
+sends its conversation to the exact full recompute over the partition's
+silver history, in the same call — the blast radius of a late turn is
+its conversation (north-rule B12). A partition with no carried state (the
 first run, or a lake written in an older state layout) takes the full
 recompute for every conversation, so a single backfill run IS the full
 recompute, the reference the tests compare every windowed run against.
@@ -60,18 +62,13 @@ import pyarrow.compute as pc
 from .. import schema as S
 from ..stages.featurize import (
     N_CHARS_COL,
+    PREFIX_COL,
     GoldConfig,
     dedup_first,
     gold_features_partition,
     gold_schema,
 )
 from ..stages.keyed import PART_COL, add_partition_col, split_by_partition
-from ..stages.salted import (
-    PREFIX_COL,
-    SHARD_COL,
-    _apply_corrections,
-    gold_partition_phase_a,
-)
 from ..state import manifest as M
 from ..state import feature_put as FP
 from ..sources.reads import num_blocks_for, parquet_files, read_parquet_sized
@@ -395,100 +392,48 @@ def _row_keys(tbl: pa.Table) -> pa.Array:
     )
 
 
-RUN_SHARD = np.int64(0)  # constant shard id: one "shard" per conv per run
-
-
 def _gold_partition_bounded(
-    window: pa.Table | None, new: pa.Table, summary: pa.Table, cfg: GoldConfig
-) -> tuple[pa.Table, pa.Table]:
-    """Gold rows for turns that extend conversations past their carried
-    ``last_ts``, from the carried state alone. Exactness argument:
+    window: pa.Table, extend: pa.Table, hist: pa.Table | None, cfg: GoldConfig
+) -> pa.Table:
+    """The partition-run's gold rows, from ONE kernel call over three row
+    sets: the carried ``window`` rows of the conversations in ``extend``,
+    as ``__prefix`` context; ``extend``, the turns that continue those
+    conversations past their carried ``last_ts``; and ``hist``, the
+    deduped silver history of the conversations to recompute (none, some,
+    or the whole partition). No conversation is in both ``extend`` and
+    ``hist``. Exactness of the extension:
 
-    - every trailing window is <= Δmax = ``schema.MAX_WINDOW_US``,
-      and ``window`` holds each conversation's last Δmax of silver rows
-      (their ``n_chars`` in place of ``text``), so it enters the fused
-      pass as ``__prefix=1`` context — the same machinery as the salted
-      shard overlap (stages/salted.py) — and later turns never alter
-      earlier rows' aggregates;
-    - session_id / session_turn_idx / lag have unbounded lookback, but
-      depend only on the carried per-conversation summary (session-break
-      count ``b_prior``, open-session run ``trail_in``, ``last_ts``),
-      stitched in with the salted correction map.
+    - every trailing window is <= Δmax = ``schema.MAX_WINDOW_US``, and
+      ``window`` holds each conversation's last Δmax of silver rows
+      (their ``n_chars`` in place of ``text``), so later turns never
+      alter earlier rows' aggregates and see all the context they need;
+    - lag and the first new turn's session break need only the latest
+      carried row, which the window always holds;
+    - session_id / session_turn_idx continue from the counters on that
+      row (``b_prior``, ``trail_in``), which seed the kernel's session
+      numbering.
 
-    Returns ``(gold rows of new, per-conversation summary of this pass)``;
-    the caller rolls the summary and patches the previous last row's
-    ``lead1_ts``."""
-    active = pc.unique(new["conv_id"].combine_chunks())
+    The caller repairs the previous last row's ``lead1_ts`` in place."""
+    cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
     parts = []
-    if window is not None and window.num_rows:
+    if extend.num_rows:
+        active = pc.unique(extend["conv_id"].combine_chunks())
         prefix = window.filter(pc.is_in(window["conv_id"], value_set=active))
-        if prefix.num_rows:
-            cols = ["conv_id", "turn_idx", "role", N_CHARS_COL, "tool", "ts"]
-            parts.append(_tag(prefix.select(cols), prefix=1))
-    parts.append(
-        _tag(new.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"]), prefix=0)
-    )
-    combined = pa.concat_tables(parts, promote_options="default")
-    phase_a = gold_partition_phase_a(
-        combined, dataclasses.replace(cfg, compute_turn_idx=False, dedup=False)
-    )
-    # corrections only for ACTIVE convs — per-run work scales with the
-    # batch, not with every conversation ever seen
-    corr = _summary_to_corrections(
-        summary.filter(pc.is_in(summary["conv_id"], value_set=active)), window
-    )
-    harvested = _harvest_summary(phase_a)
-    return _apply_corrections(phase_a, corr, compute_turn_idx=False), harvested
-
-
-def _tag(tbl: pa.Table, prefix: int) -> pa.Table:
-    n = tbl.num_rows
-    tbl = tbl.append_column(SHARD_COL, pa.array(np.full(n, RUN_SHARD), pa.int64()))
-    return tbl.append_column(
-        PREFIX_COL, pa.array(np.full(n, prefix, np.int8), pa.int8())
+        prefix_cols = ["conv_id", "turn_idx", "role", N_CHARS_COL, "tool", "ts",
+                       "b_prior", "trail_in"]
+        parts += [_with_prefix(prefix.select(prefix_cols), 1),
+                  _with_prefix(extend.select(cols), 0)]
+    if hist is not None:
+        parts.append(_with_prefix(hist.select(cols), 0))
+    tbl = pa.concat_tables(parts, promote_options="default")
+    return gold_features_partition(
+        tbl, dataclasses.replace(cfg, compute_turn_idx=False, dedup=False)
     )
 
 
-def _summary_to_corrections(summary: pa.Table, window) -> pd.DataFrame:
-    """The salted stitch's correction map for conversations with carried
-    state: their session/turn numbering continues from the summary."""
-    if not summary.num_rows:
-        return pd.DataFrame()
-    conv = summary["conv_id"].combine_chunks()
-    if window is not None and window.num_rows:
-        no_prefix = pc.invert(pc.is_in(conv, value_set=window["conv_id"].combine_chunks()))
-    else:
-        no_prefix = pa.array(np.ones(len(conv), bool))
-    return pd.DataFrame(
-        {
-            "conv_id": conv.to_numpy(zero_copy_only=False),
-            SHARD_COL: int(RUN_SHARD),
-            "turn_off": 0,
-            "b_prior": np.asarray(summary["b_prior"]),
-            "trail_in": np.asarray(summary["trail_in"]),
-            "prev_last_ts": pd.Series(np.asarray(summary["last_ts"]), dtype=object),
-            "next_first_ts": None,
-            "no_prefix": np.asarray(no_prefix),
-            "n_real": np.int64(-1),  # never matches ridx -> no last-row fix
-        }
-    )
-
-
-def _harvest_summary(phase_a: pa.Table) -> pa.Table:
-    """Per-conv shard summary embedded on first real rows of phase A."""
-    t = phase_a.filter(pc.is_valid(phase_a["__sum_n_real"]))
-    return pa.table(
-        {
-            "conv_id": t["conv_id"],
-            "n_real": t["__sum_n_real"],
-            "n_breaks": t["__sum_breaks"],
-            "trail": t["__sum_trail"],
-            "first_ts": t["__sum_first_ts"],
-            "last_ts": t["__sum_last_ts"],
-        }
-    )
-
-
+def _with_prefix(tbl: pa.Table, prefix: int) -> pa.Table:
+    flag = pa.array(np.full(tbl.num_rows, prefix, np.int8), pa.int8())
+    return tbl.append_column(PREFIX_COL, flag)
 
 
 def _retention_cutoff(gold_root: str) -> str | None:

@@ -9,13 +9,16 @@ ONE sorted, segmented, fully-vectorized numpy pass — no per-conversation
 Python loop, no second shuffle.
 
 That pass, :func:`_gold_pass`, is the only copy of the gold kernel. It
-serves two entry points: :func:`gold_features_partition` on an untagged
-partition, and ``salted.gold_partition_phase_a`` on a tagged one, where
-``__shard`` joins ``conv_id`` in the segment key and ``__prefix`` rows
-(a salted shard's overlap copies, or the stream's carried trailing
-window) feed window, lag and session state without being emitted. A
-prefix row may carry its text length in ``n_chars`` and a null ``text``:
-the carried window stores no text. The
+serves two entry points: :func:`gold_features_partition` and
+``salted.gold_partition_phase_a``. The input's columns say what it holds.
+``__shard`` (salted tables) joins ``conv_id`` in the segment key.
+``__prefix`` rows (a salted shard's overlap copies, or the stream's
+carried trailing window) feed window, lag and session state without
+being emitted. A prefix row may carry its text length in ``n_chars`` and
+a null ``text``: the carried window stores no text. A prefix row with
+``b_prior`` and ``trail_in`` set (the stream's latest carried row of a
+conversation) seeds its segment's session numbering, so one call extends
+a conversation exactly where the previous run left it. The
 window widths are fixed by the gold column names: ``schema.H1``
 (``turns_1h``, ``chars_1h``, ``<role>_turns_1h``), ``schema.H24``
 (``tool_count_24h``) and ``schema.D7`` (``avg_chars_7d``).
@@ -113,42 +116,48 @@ def gold_schema(role_counts: tuple[str, ...]) -> pa.Schema:
 def gold_features_partition(tbl: pa.Table, cfg: GoldConfig = GoldConfig()) -> pa.Table:
     """Compute the full gold feature vector for one hash partition of
     transcript turns. Input columns: conv_id, ts, role, text, tool and
-    (unless cfg.compute_turn_idx) turn_idx. Output: FIXTURES.md §3 layout,
+    (unless cfg.compute_turn_idx) turn_idx; optionally ``__prefix``,
+    ``n_chars``, ``b_prior`` and ``trail_in`` for carried context rows
+    (module docstring). Output: FIXTURES.md §3 layout,
     grouped by conversation (in first-appearance order — NOT conv_id
     value order) and sorted by (ts, turn_idx) within each conversation;
     consumers needing a global order sort explicitly."""
     if tbl.num_rows == 0:
         return gold_schema(cfg.role_counts).empty_table()
-    return _gold_pass(tbl, cfg, tagged=False)[0]
+    return _gold_pass(tbl, cfg)[0]
 
 
 class _Emitted(NamedTuple):
-    """Per emitted row of :func:`_gold_pass`, the segment state the salted
-    stitch needs beyond the gold columns. A segment is one conversation
-    (untagged) or one ``(conv_id, __shard)`` pair (tagged)."""
+    """Per emitted row of :func:`_gold_pass`, the segment state that
+    ``salted.gold_partition_phase_a`` needs beyond the gold columns to
+    stitch shards. A segment is one conversation, or one
+    ``(conv_id, __shard)`` pair when the input has ``__shard``."""
 
     seg_id: np.ndarray       # non-decreasing segment id
-    shard: np.ndarray | None  # __shard value; None when untagged
+    shard: np.ndarray | None  # __shard value; None without __shard
     ridx: np.ndarray         # index among the segment's emitted rows
     b: np.ndarray            # session breaks so far among them
-    sturn: np.ndarray        # session_turn_idx (== ridx while b == 0)
+    sturn: np.ndarray        # session_turn_idx (== trail_in + ridx while b == 0)
     ts: np.ndarray           # int64 µs
     seg_has_prefix: np.ndarray  # the segment held __prefix rows
 
 
-def _gold_pass(
-    tbl: pa.Table, cfg: GoldConfig, tagged: bool
-) -> tuple[pa.Table, _Emitted]:
+def _gold_pass(tbl: pa.Table, cfg: GoldConfig) -> tuple[pa.Table, _Emitted]:
     """The fused pass: one sort by ``(conv_id[, __shard], ts, tiebreak)``,
     then trailing windows, lag/lead, sessions and turn index for every
-    row at once. A ``tagged`` table carries ``__shard`` (part of the
-    segment key) and ``__prefix``: prefix rows feed window, lag and
-    session state but are not emitted. Returns the gold table of the
-    emitted rows and their :class:`_Emitted` state."""
-    seg_keys = ["conv_id", SHARD_COL] if tagged else ["conv_id"]
+    row at once. ``__shard``, when present, is part of the segment key.
+    ``__prefix`` rows, when present, feed window, lag and session state
+    but are not emitted; a prefix row with ``b_prior``/``trail_in`` set
+    seeds its segment: ``session_id = b_prior + breaks - 1``, and rows
+    before the segment's first break continue the open session at
+    ``trail_in``. Unseeded segments start at 0/0. Returns the gold table
+    of the emitted rows and their :class:`_Emitted` state."""
+    sharded = SHARD_COL in tbl.column_names
+    prefixed = PREFIX_COL in tbl.column_names
+    seg_keys = ["conv_id", SHARD_COL] if sharded else ["conv_id"]
     if cfg.dedup and not cfg.compute_turn_idx:
         order_cols = ["ts"] + (["ingest_ts"] if "ingest_ts" in tbl.column_names else [])
-        extra = [PREFIX_COL] if tagged else []
+        extra = [PREFIX_COL] if prefixed else []
         tbl = dedup_first(tbl, seg_keys + ["turn_idx"] + extra, order_cols)
 
     # ---- sort; prefix rows precede the real rows of their segment ----
@@ -157,17 +166,18 @@ def _gold_pass(
     ).astype(np.int64)
     ts = _int64(tbl["ts"])
     tiebreak = cfg.tiebreak_col if cfg.compute_turn_idx else "turn_idx"
-    shard = _int64(tbl[SHARD_COL]) if tagged else None
-    keys = [ts] + ([shard] if tagged else []) + [conv]
+    shard = _int64(tbl[SHARD_COL]) if sharded else None
+    keys = [ts] + ([shard] if sharded else []) + [conv]
     if tiebreak is not None:  # compute_turn_idx may leave it unset
         keys.insert(0, _int64(tbl[tiebreak]))
     order = np.lexsort(keys)
     tbl = tbl.take(pa.array(order))
     ts = ts[order]
     seg_start = W.segment_starts(conv[order])
-    if tagged:
+    if sharded:
         shard = shard[order]
         seg_start |= W.segment_starts(shard)
+    if prefixed:
         real = ~np.asarray(tbl[PREFIX_COL].combine_chunks()).astype(bool)
     else:
         real = np.ones(len(ts), dtype=bool)
@@ -220,9 +230,10 @@ def _gold_pass(
     br = real & (seg_start | (gap_prev > cfg.gap_us))
     cum = np.cumsum(br, dtype=np.int64)
     b = cum - (cum[seg_first] - br[seg_first])
+    b_prior, trail_in = _seeds(tbl, seg_id)
     # b > 0 means the segment's last break so far lies in this segment
     last_br = np.maximum.accumulate(np.where(br, arange, 0))
-    sturn = np.where(b > 0, ridx - ridx[last_br], ridx)
+    sturn = np.where(b > 0, ridx - ridx[last_br], trail_in + ridx)
     if cfg.compute_turn_idx:
         turn_idx = ridx.astype(np.int32)
     else:
@@ -256,7 +267,7 @@ def _gold_pass(
             pa.float64(),
             mask=gap_null,
         ),
-        pa.array(b_r - 1, pa.int64()),
+        pa.array(b_prior[keep] + b_r - 1, pa.int64()),
         pa.array(sturn[keep].astype(np.int32), pa.int32()),
     ]
     gold = pa.Table.from_arrays(arrays, schema=gold_schema(cfg.role_counts))
@@ -270,6 +281,21 @@ def _gold_pass(
         ts=ts_r,
         seg_has_prefix=has_prefix[seg_r],
     )
+
+
+def _seeds(tbl: pa.Table, seg_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, its segment's carried ``(b_prior, trail_in)``: the values
+    of the segment's one row that sets them, else ``(0, 0)``."""
+    if "b_prior" not in tbl.column_names:
+        zero = np.zeros(len(seg_id), np.int64)
+        return zero, zero
+    seeded = np.asarray(pc.is_valid(tbl["b_prior"].combine_chunks()))
+    seeds = []
+    for c in ("b_prior", "trail_in"):
+        per_seg = np.zeros(int(seg_id[-1]) + 1, np.int64)
+        per_seg[seg_id[seeded]] = np.asarray(tbl[c].combine_chunks().fill_null(0))[seeded]
+        seeds.append(per_seg[seg_id])
+    return seeds[0], seeds[1]
 
 
 def _int64(col: pa.ChunkedArray) -> np.ndarray:

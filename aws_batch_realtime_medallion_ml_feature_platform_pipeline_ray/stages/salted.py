@@ -176,7 +176,7 @@ def gold_partition_phase_a(tbl: pa.Table, cfg: GoldConfig) -> pa.Table:
     elsewhere)."""
     if tbl.num_rows == 0:
         return _empty_phase_a(cfg)
-    gold, e = _gold_pass(tbl, cfg, tagged=True)
+    gold, e = _gold_pass(tbl, cfg)
     seg_start = W.segment_starts(e.seg_id)
     is_first = seg_start & (e.shard != NON_SALTED)
     arrays = [
@@ -444,8 +444,9 @@ def gold_features_salted(
 
 
 def _extract_summaries_pruned(batch: pa.Table) -> pa.Table:
-    """Same as _extract_summaries but for the column-pruned spool read
-    (batch already holds exactly the summary columns)."""
+    """The hot shards' summary rows of a column-pruned phase-A spool read
+    (``conv_id``, ``__shard`` and the ``__sum_*`` columns): each hot
+    shard's first real row, the one that carries its summary."""
     mask = pc.and_(
         pc.is_valid(batch["__sum_n_real"]),
         pc.not_equal(batch[SHARD_COL], pa.scalar(int(NON_SALTED), pa.int64())),

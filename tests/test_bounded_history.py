@@ -1,18 +1,23 @@
-"""The carried-window gold step (``medallion._gold_partition_bounded``).
+"""The stream's carried-state gold step (``medallion._gold_partition_bounded``).
 
 Three bronze batches land ~10 days apart for the SAME conversations, so
 a run sees conversations that continue past their carried ``last_ts``
 (extended from the 7-day carried window, with ``lead1_ts`` repaired in
 place on an older ``dt=`` file) next to conversations whose new turns
-land before it (late → exact full recompute). The windowed lake must be
-value-identical to ONE backfill run over the union of the batches — the
-full recompute, itself oracle-exact (tests/test_medallion.py) — in gold
-and online, including after a conflicting redelivery and after silver
-compaction.
+land before it (late → exact full recompute). Both kinds, and new
+conversations, go through ONE gold kernel call per partition-run: the
+carried window rows are context, and each conversation's latest one
+seeds its session numbering. The windowed lake must be value-identical
+to ONE backfill run over the union of the batches — the full recompute,
+itself oracle-exact (tests/test_medallion.py) — in gold and online,
+including after a conflicting redelivery and after silver compaction.
 """
 
+import collections
 import glob
 import os
+import sys
+import threading
 
 import numpy as np
 import pandas as pd
@@ -20,6 +25,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+    medallion,
+)
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
     RUN_STAGE_GOLD,
     compact_silver,
@@ -28,6 +36,10 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.med
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.transcripts import (
     generate_transcripts,
     write_bronze,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages import (
+    featurize,
+    salted,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
     fsio as F,
@@ -174,3 +186,53 @@ def test_bounded_after_compaction_still_exact(batches, tmp_path,
                      processed_at=PROCESSED_AT, num_parts=4)
     assert res["late_convs"] > 0
     _assert_same_lake(windowed, _backfill(batches, tmp_path, "c"))
+
+
+def _calls_by_file(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and a count of the Python calls it made,
+    by ``(file, function)``, in this thread and in threads it starts."""
+    calls = collections.Counter()
+
+    def prof(frame, event, arg):
+        if event == "call":
+            calls[(frame.f_code.co_filename, frame.f_code.co_name)] += 1
+
+    threading.setprofile(prof)
+    sys.setprofile(prof)
+    try:
+        out = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return out, calls
+
+
+def test_one_kernel_call_per_partition_run(tmp_path, monkeypatch):
+    """One partition whose second run extends some conversations,
+    recomputes late ones and starts new ones makes exactly one gold
+    kernel call, and never enters stages.salted."""
+    # the one-task plan in this process, so the profiler sees its calls
+    monkeypatch.setattr(medallion, "run_one_task", lambda fn, *a: fn(*a))
+    first, second = _batch(0, seed=600), _batch(1, seed=601)
+    new = generate_transcripts(n_convs=3, avg_turns=6, seed=602,
+                               start_us=START + 10 * DAY_US, mean_gap_s=60.0,
+                               conv_id_offset=1000)
+    first_dir, second_dir = str(tmp_path / "b0"), str(tmp_path / "b1")
+    write_bronze(first, first_dir, rows_per_file=100_000)
+    write_bronze(pa.concat_tables([second, new]), second_dir, rows_per_file=100_000)
+
+    lake = str(tmp_path / "lake")
+    run_stream(first_dir, lake, run_id="r0", processed_at=PROCESSED_AT, num_parts=1)
+    res, calls = _calls_by_file(run_stream, second_dir, lake, run_id="r1",
+                                processed_at=PROCESSED_AT, num_parts=1)
+
+    (gm,) = _gold_manifests(lake, "r1")
+    assert res["partitions"] == 1
+    assert res["late_convs"] == gm.extra["late_convs"] > 0
+    assert gm.extra["lead_patches"] > 0  # extended conversations
+    assert set(new["conv_id"].to_pylist()) <= set(
+        medallion.read_online(lake)["conv_id"].to_pylist())
+    assert calls[(featurize.__file__, "_gold_pass")] == 1
+    salted_calls = [k for k in calls if k[0] == salted.__file__]
+    assert not salted_calls, salted_calls
+    _assert_same_lake(lake, _backfill([first_dir, second_dir], tmp_path, "one_call"))

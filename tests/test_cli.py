@@ -72,6 +72,14 @@ def test_build_datasets_cli(ray_session, cli_bronze, tmp_path, capsys):
     assert meta["counts"]["train"] + meta["counts"]["validation"] == gold_rows > 0
 
 
+def test_build_datasets_cli_rejects_zero_inference_days(ray_session, tmp_path):
+    """``--inference-days 0`` fails loudly instead of projecting every dt."""
+    with pytest.raises(ValueError, match="inference_days"):
+        main(["build-datasets", "--out", str(tmp_path / "lake"),
+              "--inference-days", "0", "--processed-at", PROCESSED_AT])
+    assert not os.path.exists(tmp_path / "lake" / "datasets")
+
+
 def test_string_window_matches_timestamp_window(ray_session, cli_bronze, tmp_path):
     """str and pd.Timestamp windows produce identical gold bytes."""
     lo, hi = _window_bounds(cli_bronze)

@@ -161,3 +161,15 @@ def test_rebuild_with_other_plan_leaves_only_its_files(lake, monkeypatch, first)
     # a leftover data file would add rows to its dataset
     assert _datasets(lake) == data1
     assert meta2["counts"] == meta1["counts"]
+
+
+@pytest.mark.parametrize("days", [0, -1])
+def test_inference_days_below_one_raises(lake, days):
+    """``all_dts[-0:]`` is every dt and a negative count a silent suffix:
+    both are refused before any dataset is written."""
+    with pytest.raises(ValueError, match="inference_days"):
+        daily.run_daily(lake, created_at=PROCESSED_AT, inference_days=days)
+    assert not os.path.exists(os.path.join(lake, "datasets"))
+    meta = daily.run_daily(lake, created_at=PROCESSED_AT, inference_days=1)
+    _, dts = gold_dt_fragments(os.path.join(lake, "gold"))
+    assert meta["inference_dts"] == dts[-1:]

@@ -3,9 +3,11 @@
 ``gold_features_partition`` and ``gold_partition_phase_a`` +
 ``_apply_corrections`` run on seeded ``generate_transcripts`` tables (the
 salted path also with prefix rows that carry ``n_chars`` in place of
-``text``, as the stream's carried window does); the
-SHA-256 of each output's Arrow IPC stream is compared with a recorded
-digest. Unlike the oracle's value hash this pins column order, types,
+``text``, as the stream's carried window does), and
+``gold_features_partition`` once more as the stream extends
+conversations: earlier rows as text-free prefix rows whose latest row per
+conversation seeds the session numbering; the SHA-256 of each output's
+Arrow IPC stream is compared with a recorded digest. Unlike the oracle's value hash this pins column order, types,
 null masks and row order, so a refactor of the kernel that changes any
 of them fails here.
 """
@@ -19,6 +21,9 @@ import pyarrow.compute as pc
 import pytest
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray import schema as S
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
+    latest_per_conv,
+)
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.queries import (
     EVENT_ROLES,
 )
@@ -27,6 +32,7 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.trans
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
     N_CHARS_COL,
+    PREFIX_COL,
     GoldConfig,
     gold_features_partition,
 )
@@ -56,10 +62,10 @@ CONFIGS = {
 }
 
 
-def _table() -> pa.Table:
+def _table(mean_gap_s: float = 4 * 3600.0) -> pa.Table:
     tbl = generate_transcripts(
         40, 30, seed=13, dup_frac=0.03, empty_text_frac=0.02,
-        mean_gap_s=4 * 3600.0,
+        mean_gap_s=mean_gap_s,
     )
     rng = np.random.default_rng(13)
     event_id = rng.permutation(tbl.num_rows).astype(np.int64)
@@ -107,6 +113,48 @@ def _salted(
     return _apply_corrections(phase_a, corr, cfg.compute_turn_idx)
 
 
+def _keys(tbl: pa.Table) -> pa.Array:
+    return pc.binary_join_element_wise(
+        tbl["conv_id"], tbl["turn_idx"].cast(pa.string()), "#"
+    )
+
+
+def _seeded(tbl: pa.Table, cfg: GoldConfig) -> tuple[pa.Table, pa.Table]:
+    """The stream's extension of carried conversations, in one call: the
+    rows before a cut as prefix rows with ``n_chars`` and a null ``text``,
+    each conversation's latest one carrying the ``b_prior``/``trail_in``
+    of its gold row, then the rows from the cut on. Returns the output
+    and the one-pass gold of the later rows."""
+    ts = tbl["ts"].combine_chunks()
+    cut = pc.quantile(ts.cast(pa.int64()), 0.6, interpolation="lower")[0]
+    cut = cut.cast(pa.int64()).cast(ts.type)
+    early = tbl.filter(pc.less(ts, cut))
+    later = tbl.filter(pc.greater_equal(ts, cut))
+    last = latest_per_conv(gold_features_partition(early, cfg))
+    at = pc.index_in(_keys(early), value_set=_keys(last))
+    prefix = early.set_column(
+        early.schema.get_field_index("text"), "text",
+        pa.nulls(early.num_rows, pa.string()),
+    )
+    prefix = (
+        prefix.append_column(N_CHARS_COL, pc.utf8_length(early["text"]))
+        .append_column("b_prior", pc.take(pc.add(last["session_id"], 1), at))
+        .append_column(
+            "trail_in",
+            pc.take(pc.add(last["session_turn_idx"].cast(pa.int64()), 1), at),
+        )
+        .append_column(PREFIX_COL, pa.array(np.ones(early.num_rows, np.int8)))
+    )
+    later = later.append_column(
+        PREFIX_COL, pa.array(np.zeros(later.num_rows, np.int8))
+    )
+    got = gold_features_partition(
+        pa.concat_tables([prefix, later], promote_options="default"), cfg
+    )
+    want = gold_features_partition(tbl, cfg)
+    return got, want.filter(pc.greater_equal(want["ts"], cut))
+
+
 def _all_convs(tbl: pa.Table) -> pa.Array:
     return pc.unique(tbl["conv_id"].combine_chunks())
 
@@ -118,12 +166,20 @@ EXPECTED = {
     "no_dedup": "2fec94f9bac22fceefbe4fd03bf25b1aeffc7999e64f8292e0fe2b5c90df96d3",
     "events": "97d528fc3cf452d4381e96bec2ed36098d84402dec0fb275245ec53c1c2218bc",
 }
+# the stream's seeded extension emits only the later rows; it cannot
+# derive turn_idx (events), which the stream never asks for
+EXPECTED_SEEDED = {
+    "default": "bf870495462197532e1dcc2f4dbc46321d365b06bee794ceebe6a3f79f6a351d",
+    "no_dedup": "94369e1f13d8cccc0d32959c7069aabc867451b07bf94388b52ff20c2ac59faf",
+}
 CASES = [
     ("plain", "default"), ("plain", "no_dedup"), ("plain", "events"),
     ("phase_a", "default"), ("phase_a", "no_dedup"), ("phase_a", "events"),
     ("salted", "default"), ("salted", "no_dedup"), ("salted", "events"),
     # prefix rows with n_chars and a null text, as the stream carries them
     ("textless", "default"), ("textless", "no_dedup"), ("textless", "events"),
+    # carried prefix rows whose latest row per conversation seeds sessions
+    ("seeded", "default"), ("seeded", "no_dedup"),
 ]
 
 
@@ -131,14 +187,21 @@ CASES = [
 def test_gold_kernel_bytes_pinned(kernel, cfg_name):
     tbl = _table()
     cfg = CONFIGS[cfg_name]
+    expected = EXPECTED[cfg_name]
     if kernel == "plain":
         out = gold_features_partition(tbl, cfg)
     elif kernel == "phase_a":
         out = _salted(tbl, cfg, pa.array([], pa.string()))
+    elif kernel == "seeded":
+        # 10-minute gaps: a session often stays open across the cut
+        out, want = _seeded(_table(mean_gap_s=600.0), cfg)
+        by_key = [(k, "ascending") for k in ("conv_id", "turn_idx")]
+        assert out.sort_by(by_key).equals(want.sort_by(by_key))
+        expected = EXPECTED_SEEDED[cfg_name]
     else:
         out = _salted(tbl, cfg, _all_convs(tbl), textless=kernel == "textless")
     assert out.num_rows > 0
-    assert _digest(out) == EXPECTED[cfg_name]
+    assert _digest(out) == expected
 
 
 def test_salted_fixture_has_prefix_copies():

@@ -170,55 +170,3 @@ def test_detect_hot_keys_uses_keyed_exchange(ray_session, monkeypatch):
     hot = detect_hot_keys(rd.from_arrow(tbl).repartition(6), "conv_id", 400)
     assert hot.to_pylist() == ["hot"]
     assert seen and all(k == PART_COL for k in seen), seen
-
-
-def test_carried_stitch_raises_no_future_warning():
-    """The stream's carried-window extension stitches with the salted
-    correction map, whose timestamp columns are object Series holding
-    ``None``. Converting them must not go through pandas' deprecated
-    object downcasting (``fillna(0).astype``), which warns on every fresh
-    worker. Extending each conversation from its earlier rows (as
-    ``n_chars``-only prefix rows) and their summary must give the
-    one-pass gold of its later rows."""
-    import warnings
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
-        _gold_partition_bounded,
-        latest_per_conv,
-    )
-
-    cfg = GoldConfig(dedup=False)
-    tbl = generate_transcripts(60, 30, seed=43, mean_gap_s=4 * 3600.0)
-    ts = tbl["ts"].combine_chunks()
-    cut = pc.quantile(ts.cast(pa.int64()), 0.6, interpolation="lower")[0]
-    cut = cut.cast(pa.int64()).cast(ts.type)
-    early = tbl.filter(pc.less(ts, cut))
-    late = tbl.filter(pc.greater_equal(ts, cut))
-    window = early.select(["conv_id", "turn_idx", "role", "tool", "ts"]).append_column(
-        "n_chars", pc.utf8_length(early["text"])
-    )
-    last = latest_per_conv(gold_features_partition(early, cfg))
-    summary = pa.table(
-        {
-            "conv_id": last["conv_id"],
-            "b_prior": pc.add(last["session_id"], 1),
-            "trail_in": pc.add(last["session_turn_idx"].cast(pa.int64()), 1),
-            "last_ts": last["ts"].cast(pa.int64()),
-            "max_turn": last["turn_idx"].cast(pa.int64()),
-        }
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FutureWarning)
-        got, _ = _gold_partition_bounded(window, late, summary, cfg)
-
-    key = ["conv_id", "turn_idx"]
-    want = gold_features_partition(tbl, cfg)
-    want = want.filter(pc.greater_equal(want["ts"], cut))
-    assert got.num_rows == want.num_rows == late.num_rows
-    assert got.schema == want.schema
-    assert got.sort_by([(k, "ascending") for k in key]).equals(
-        want.sort_by([(k, "ascending") for k in key])
-    )
