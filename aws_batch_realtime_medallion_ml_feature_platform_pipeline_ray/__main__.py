@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_bootstrap)
 
-    rc = sub.add_parser("reconcile", help="verify manifests vs on-disk files/rows; flag orphans")
+    rc = sub.add_parser("reconcile", help="verify silver manifests and each partition's state record vs on-disk files/rows; flag orphans")
     rc.add_argument("--out", required=True)
     rc.add_argument("--run-id", default=None)
     rc.set_defaults(fn=cmd_reconcile)

@@ -24,8 +24,13 @@ Per hash partition the state is one LZ4-compressed Arrow IPC file,
   key is the gold row whose ``lead1_ts`` the conversation's next turns
   repair in place. This is irreducible watermark METADATA (3 ints per
   conversation — the streaming analog of a per-key watermark store);
-- the schema metadata names the run that wrote the file and the row
-  count of each of the partition's gold ``dt=`` files.
+- the schema metadata is the record of the run that wrote the file: its
+  ``run_id``, the row count of each of the partition's gold ``dt=``
+  files (``gold``), and its counts (``record``): silver rows in, out and
+  rejected, new rows, the gold mode, late conversations, gold rows in,
+  ``lead1_ts`` patches, and online puts accepted and rejected. Wall times
+  stay out, so the file is byte-identical across plans and across a
+  crash and rerun.
 
 The file is written under a temp name and renamed into place
 (``fsio.write_ipc_atomic``), so it needs no pointer and leaves no old
@@ -59,9 +64,9 @@ Commit order; every step is idempotent, so rerunning a crashed
 1. silver run file + silver manifest;
 2. ``dt=`` merges (``medallion.write_gold_partition``);
 3. online upsert;
-4. gold manifest;
-5. ``state.arrow`` rename (``_commit_state``), last. A partition whose
-   state names the run is done, and a rerun skips it.
+4. ``state.arrow`` rename (``_commit_state``), last. A partition whose
+   state names the run is done, and a rerun skips it and returns the
+   stored record.
 
 Equivalence with one full-history run is tested by splitting bronze into
 several ingest windows (tests/test_incremental.py), late arrivals and
@@ -85,7 +90,6 @@ from ..state import fsio as F
 from ..state import manifest as M
 from .medallion import (
     KEY,
-    RUN_STAGE_GOLD,
     RUN_STAGE_SILVER,
     VALID_COL,
     _gold_partition_bounded,
@@ -105,24 +109,45 @@ _WINDOW_SCHEMA = pa.schema(
 )
 _WINDOW_COLS = _WINDOW_SCHEMA.names
 _STATE_SCHEMA = pa.schema(list(_WINDOW_SCHEMA) + [pa.field(c, pa.int64()) for c in _CARRY])
+# a partition-run's record: stored in state.arrow, returned as its metrics
+# row (with the partition, its gold rows out and its wall times)
+_COUNTS = ("silver_rows_in", "silver_rows_out", "rows_rejected", "new_rows",
+           "late_convs", "gold_rows_in", "lead_patches", "put_success", "put_errors")
+_METRICS_SCHEMA = pa.schema(
+    [pa.field("part", pa.int32()), pa.field("gold_mode", pa.string())]
+    + [pa.field(c, pa.int64()) for c in _COUNTS + ("gold_rows_out",)]
+    + [pa.field(c, pa.float64()) for c in ("silver_wall_s", "gold_wall_s")]
+)
 
 
 def _read_state(state_dir: str) -> tuple[pa.Table, dict]:
-    """The partition's carried window rows and the metadata of the run
-    that wrote them (``run_id``, ``gold``); no rows and ``{}`` when there
-    is no ``state.arrow``."""
+    """The partition's carried window rows and the record of the run that
+    wrote them (``run_id``, ``gold``, ``record``); no rows and ``{}`` when
+    there is no ``state.arrow``. A file written before runs kept a record
+    reads as zero counts."""
     path = F.join(state_dir, _STATE_FILE)
     if not F.exists(path):
         return _STATE_SCHEMA.empty_table(), {}
     tbl = F.read_ipc(path)
     meta = tbl.schema.metadata
+    record = json.loads(meta[b"record"]) if b"record" in meta else dict.fromkeys(_COUNTS, 0)
     return tbl.replace_schema_metadata(None), {
-        "run_id": meta[b"run_id"].decode(), "gold": json.loads(meta[b"gold"])
+        "run_id": meta[b"run_id"].decode(), "gold": json.loads(meta[b"gold"]),
+        "record": record,
     }
 
 
+def _state_schema(run_id: str, gold_rows: dict, record: dict) -> pa.Schema:
+    """``state.arrow``'s schema, the run's record as its metadata."""
+    return _STATE_SCHEMA.with_metadata({
+        "run_id": run_id,
+        "gold": json.dumps(gold_rows, sort_keys=True),
+        "record": json.dumps(record, sort_keys=True),
+    })
+
+
 def _commit_state(state_dir: str, tbl: pa.Table) -> None:
-    """Commit point 5: write ``state.arrow`` under a temp name and rename
+    """Commit point 4: write ``state.arrow`` under a temp name and rename
     it into place."""
     F.write_ipc_atomic(tbl, F.join(state_dir, _STATE_FILE))
 
@@ -157,8 +182,10 @@ def process_partition_incremental(
     cfg: GoldConfig,
     run_id: str,
 ) -> pa.Table:
-    """One partition, one run: the five commits of the module docstring.
-    Returns a per-partition metrics row."""
+    """One partition, one run: the four commits of the module docstring.
+    Returns the run's record as a metrics row, with the silver and gold
+    wall times; a partition whose state already names the run returns
+    the stored record, with null walls."""
 
     t0 = time.perf_counter()
     part = int(group[PART_COL][0].as_py())
@@ -166,7 +193,7 @@ def process_partition_incremental(
     state_dir = F.join(state_root, f"part={key}")
     window, state = _read_state(state_dir)
     if state.get("run_id") == run_id:  # committed before a crash: skip
-        return _metrics(part, 0, 0)
+        return _metrics(part, state["record"], state["gold"], None, None)
 
     # S8 error accounting: count tagged validity rejects, then drop
     g = group.drop_columns([PART_COL])
@@ -181,6 +208,7 @@ def process_partition_incremental(
     silver_file = F.join(silver_root, f"part={key}", f"run-{run_id}.parquet")
     M.atomic_write_table(g.select([f.name for f in S.SILVER] + ["ingest_ts"]), silver_file)
     ing = g["ingest_ts"].combine_chunks()
+    silver_wall = time.perf_counter() - t0
     M.write_manifest(
         silver_root,
         M.PartitionManifest(
@@ -192,7 +220,7 @@ def process_partition_incremental(
             min_ts=str(pc.min(ts_arr).as_py()) if g.num_rows else None,
             max_ts=str(pc.max(ts_arr).as_py()) if g.num_rows else None,
             max_ingest_ts=str(pc.max(ing).as_py()) if g.num_rows else None,
-            wall_s=time.perf_counter() - t0,
+            wall_s=silver_wall,
             files=[silver_file],
             extra={"rows_rejected": rows_rejected},
         ),
@@ -248,44 +276,34 @@ def process_partition_incremental(
         online_tbl = _upsert_online(online_root, key, last_out)
         put = FP.put_partition(online_tbl, online_root, key, run_id=run_id)
 
-    # ---- 4. gold manifest: the partition's whole dt= file set ----
-    M.write_manifest(
-        gold_root,
-        M.PartitionManifest(
-            stage=RUN_STAGE_GOLD,
-            partition_key=key,
-            run_id=run_id,
-            rows_in=extend.num_rows + (hist.num_rows if hist is not None else 0),
-            rows_out=sum(gold_rows.values()),
-            wall_s=time.perf_counter() - t1,
-            files=[F.join(part_dir, f"dt={dt}", "data.parquet") for dt in gold_rows],
-            extra={
-                "gold_mode": "carried" if state else "full",
-                "late_convs": len(late_convs),
-                "lead_patches": patches.num_rows if patches is not None else 0,
-                "put_success": put["success"],
-                "put_errors": put["errors"],
-            },
-        ),
-    )
-
-    # ---- 5. state: the trailing window with each conversation's summary
-    # on its latest row, committed by one rename ----
+    # ---- 4. state: the trailing window with each conversation's summary
+    # on its latest row and the run's record, committed by one rename ----
+    record = {
+        "silver_rows_in": group.num_rows,
+        "silver_rows_out": g.num_rows,
+        "rows_rejected": rows_rejected,
+        "new_rows": fresh.num_rows,
+        "gold_mode": "carried" if state else "full",
+        "late_convs": len(late_convs),
+        "gold_rows_in": extend.num_rows + (hist.num_rows if hist is not None else 0),
+        "lead_patches": patches.num_rows if patches is not None else 0,
+        "put_success": put["success"],
+        "put_errors": put["errors"],
+    }
     _commit_state(
         state_dir,
-        _next_state(window, extend, hist, recomputed, summary, run_id, gold_rows),
+        _next_state(
+            window, extend, hist, recomputed, summary,
+            _state_schema(run_id, gold_rows, record),
+        ),
     )
-    return _metrics(part, fresh.num_rows, len(late_convs))
+    return _metrics(part, record, gold_rows, silver_wall, time.perf_counter() - t1)
 
 
-def _metrics(part: int, new_rows: int, late_convs: int) -> pa.Table:
-    return pa.table(
-        {
-            "part": pa.array([part], pa.int32()),
-            "new_rows": pa.array([new_rows], pa.int64()),
-            "late_convs": pa.array([late_convs], pa.int64()),
-        }
-    )
+def _metrics(part: int, record: dict, gold_rows: dict, silver_wall, gold_wall) -> pa.Table:
+    row = dict(record, part=part, gold_rows_out=sum(gold_rows.values()),
+               silver_wall_s=silver_wall, gold_wall_s=gold_wall)
+    return pa.Table.from_pylist([row], schema=_METRICS_SCHEMA)
 
 
 def _str_array(values) -> pa.Array:
@@ -411,10 +429,10 @@ def _window_rows(t: pa.Table) -> pa.Table:
     return pa.table(cols).cast(_WINDOW_SCHEMA)  # an all-null tool comes as null type
 
 
-def _next_state(window, extend, hist, recomputed, summary, run_id, gold_rows) -> pa.Table:
+def _next_state(window, extend, hist, recomputed, summary, schema) -> pa.Table:
     """The partition's next ``state.arrow`` table: the rolled trailing
-    window, each conversation's summary on its latest row, and the run
-    metadata."""
+    window and each conversation's summary on its latest row, under
+    ``schema`` (which carries the run's record)."""
     # recomputed convs' window must reflect the DEDUPED truth (a
     # conflicting re-delivery may have changed the winning version)
     parts = [
@@ -424,8 +442,6 @@ def _next_state(window, extend, hist, recomputed, summary, run_id, gold_rows) ->
     ]
     parts += [_window_rows(t) for t in (extend, hist) if t is not None and t.num_rows]
     rows = pa.concat_tables(parts)
-    meta = {"run_id": run_id, "gold": json.dumps(gold_rows, sort_keys=True)}
-    schema = _STATE_SCHEMA.with_metadata(meta)
     if not rows.num_rows:
         return schema.empty_table()
 

@@ -13,8 +13,10 @@ SURVEY.md §3.1) as:
    partition's carried state, merge the rows into the partition's
    ``gold/part=*/dt=*/data.parquet`` files, upsert the online table, and
    commit the partition's new state, ``state/part=*/state.arrow``, last:
-   one Arrow IPC file holding the trailing window of text-free rows and
-   each conversation's carried counters, renamed into place.
+   one Arrow IPC file holding the trailing window of text-free rows,
+   each conversation's carried counters and the partition-run's record,
+   renamed into place. ``run_stream`` builds the run's summaries from the
+   records the steps return.
 
 The input's size on disk picks how steps 1-4 run. An input the sized
 read would make one block (``sources.reads.num_blocks_for`` == 1, at most
@@ -41,9 +43,10 @@ Unlike the reference — whose gold only sees the current window's slice,
 silently truncating 24h/7d features (silver_and_gold.py:200-207) — gold
 here always equals a computation over full history (SURVEY.md §7.3).
 
-Resume: a partition whose ``state.arrow`` names the run is skipped; every
-gold/online write is an idempotent key-replace merge, so kill-and-rerun
-converges to the same outputs.
+Resume: a partition whose ``state.arrow`` names the run is skipped, and
+its stored record stands in for its step; every gold/online write is an
+idempotent key-replace merge, so kill-and-rerun converges to the same
+outputs.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ import json
 from ..state import fsio as F
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -70,11 +72,9 @@ from ..stages.featurize import (
 )
 from ..stages.keyed import PART_COL, add_partition_col, split_by_partition
 from ..state import manifest as M
-from ..state import feature_put as FP
 from ..sources.reads import num_blocks_for, parquet_files, read_parquet_sized
 
 RUN_STAGE_SILVER = "silver"
-RUN_STAGE_GOLD = "gold"
 KEY = ["conv_id", "turn_idx"]
 
 
@@ -101,10 +101,10 @@ def normalize_bronze(batch: pa.Table, *, processed_at: str,
 
     With ``tag_invalid`` the validity failures are kept and tagged in
     ``__valid`` instead of silently dropped, so the partition task can
-    count them into its manifest — the S8 put-error accounting channel
+    count them into its run record — the S8 put-error accounting channel
     (reference ingest_features.py:63-98 tallies per-batch failures; here
     rejects are durable per-partition metrics, and 'retry' is the
-    idempotent resume of the atomic write + manifest protocol). Window
+    idempotent resume of the atomic writes and the state commit). Window
     misses are dropped either way: they are not errors, just out-of-slice."""
     t = batch
     # fill_null(False): a NULL text makes the predicate null, which the
@@ -143,10 +143,6 @@ def normalize_bronze(batch: pa.Table, *, processed_at: str,
     return t
 
 
-class StreamRunResult(dict):
-    pass
-
-
 def run_stream(
     bronze_path: str,
     out_root: str,
@@ -157,12 +153,16 @@ def run_stream(
     num_parts: int = 16,
     gold_cfg: GoldConfig | None = None,
     ray_kwargs: dict | None = None,
-) -> StreamRunResult:
-    """Execute one stream run. Returns run metrics (from manifests) plus
+) -> dict:
+    """Execute one stream run. Returns the run record, also written to
+    ``run-{id}.json``: ``silver``/``gold``/``online`` summaries,
     ``new_rows`` (turns not already in the carried window),
     ``late_convs`` (conversations sent to the full recompute), ``plan``
     (``"one_task"`` or ``"exchange"``, chosen from the input's size — see
-    the module docstring) and ``input_bytes`` (bronze bytes on disk).
+    the module docstring), ``input_bytes`` (bronze bytes on disk) and
+    ``partition_records``: each partition step's metrics row, ascending
+    by partition (walls are null for a partition an earlier attempt of
+    the run committed).
 
     ``num_parts`` is part of the lake's physical layout (conversation →
     partition assignment): it is pinned in ``state/_meta.json`` on the
@@ -187,10 +187,10 @@ def run_stream(
     if files and num_blocks_for(input_bytes) == 1:
         plan = "one_task"
         rows = run_one_task(_run_partitions_one_task, [f for f, _ in files], prep, step)
-        stats = pa.concat_tables(rows).to_pandas() if rows else pd.DataFrame()
     else:
         plan = "exchange"
-        stats = _run_partitions_exchange(bronze_path, prep, step)
+        rows = _run_partitions_exchange(bronze_path, prep, step)
+    parts = sorted(rows, key=lambda r: r["part"])
 
     # persist the partitioning so keyed online lookups can route by hash
     F.makedirs(online_root, exist_ok=True)
@@ -199,19 +199,21 @@ def run_stream(
         json.dumps({"num_parts": num_parts, "key": "conv_id"}),
     )
 
-    keys = [f"{int(p):05d}" for p in sorted(stats["part"])] if len(stats) else []
-    silver_ms = [M.read_manifest(silver_root, RUN_STAGE_SILVER, k, run_id) for k in keys]
-    gold_ms = [M.read_manifest(gold_root, RUN_STAGE_GOLD, k, run_id) for k in keys]
-    result = StreamRunResult(
+    def col(name):
+        return [p[name] for p in parts]
+
+    result = dict(
         run_id=run_id,
         plan=plan,
         input_bytes=input_bytes,
-        partitions=len(stats),
-        silver=M.summarize(silver_ms),
-        gold=M.summarize(gold_ms),
-        online=FP.summarize_puts(gold_ms),
-        new_rows=int(stats["new_rows"].sum()) if len(stats) else 0,
-        late_convs=int(stats["late_convs"].sum()) if len(stats) else 0,
+        partitions=len(parts),
+        silver=M.summarize(col("silver_rows_out"), col("silver_wall_s"),
+                           sum(col("rows_rejected"))),
+        gold=M.summarize(col("gold_rows_out"), col("gold_wall_s")),
+        online={"success": sum(col("put_success")), "errors": sum(col("put_errors"))},
+        new_rows=sum(col("new_rows")),
+        late_convs=sum(col("late_convs")),
+        partition_records=parts,
     )
     run_manifest = F.join(out_root, f"run-{run_id}.json")
     F.write_text_atomic(run_manifest, json.dumps(result, indent=1))
@@ -242,22 +244,26 @@ def _prepare_bronze(t: pa.Table, *, processed_at, window, num_parts) -> pa.Table
     return add_partition_col(t, "conv_id", num_parts)
 
 
-def _run_partitions_one_task(files: list[str], prep: dict, step: dict) -> list[pa.Table]:
+def _run_partitions_one_task(files: list[str], prep: dict, step: dict) -> list[dict]:
     """The whole run's partition work in one process, for an input of one
     block: read, prepare, split by hash partition, and run the per-partition
     step on each non-empty partition in ascending order — the calls the
-    keyed exchange makes, without the exchange. Returns their metric rows."""
+    keyed exchange makes, without the exchange. Returns their metric rows
+    as dicts, which Ray sends back far cheaper than one-row tables."""
     from .incremental import process_partition_incremental
 
     tbl = pa.concat_tables([F.read_table(f) for f in files], promote_options="default")
     tbl = _prepare_bronze(tbl, **prep)
-    return [process_partition_incremental(g, **step) for g in split_by_partition(tbl)]
+    return [r for g in split_by_partition(tbl)
+            for r in process_partition_incremental(g, **step).to_pylist()]
 
 
-def _run_partitions_exchange(bronze_path, prep: dict, step: dict) -> pd.DataFrame:
+def _run_partitions_exchange(bronze_path, prep: dict, step: dict) -> list[dict]:
     """The run's partition work as a Ray Data pipeline: sized read,
     prepare, one keyed exchange on ``__part``, the per-partition step per
-    group. Returns the metric rows."""
+    group. Returns the metric rows as dicts."""
+    import ray
+
     from .incremental import process_partition_incremental
 
     ds = read_parquet_sized(bronze_path)
@@ -266,14 +272,11 @@ def _run_partitions_exchange(bronze_path, prep: dict, step: dict) -> pd.DataFram
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return (
-        ds.groupby(PART_COL)
-        .map_groups(
-            lambda grp: process_partition_incremental(grp, **step),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
+    ds = ds.groupby(PART_COL).map_groups(
+        lambda grp: process_partition_incremental(grp, **step),
+        batch_format="pyarrow",
     )
+    return [r for t in ray.get(ds.to_arrow_refs()) for r in t.to_pylist()]
 
 
 def _pin_num_parts(state_root: str, num_parts: int) -> None:
@@ -633,14 +636,13 @@ def uuid_hex() -> str:
 
 
 def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
-    """Lineage-integrity reconciliation: verify that every silver/gold
-    partition manifest's file list exists on disk with the manifested
-    row counts, and flag on-disk parquet leaves no manifest claims
-    (orphans — e.g. debris from a killed run before its manifest
-    landed). Filesystem metadata + parquet footers only, no data reads.
-    The check a resumable lake needs before trusting a resume, and the
-    per-partition-metrics audit the north rule's
-    lineage requirement implies.
+    """Lineage-integrity reconciliation: verify that every file a silver
+    manifest or a partition's run record claims exists on disk with the
+    recorded row counts, and flag on-disk parquet leaves nothing claims
+    (orphans — e.g. debris from a killed run before its commit). Filesystem
+    metadata + parquet footers only, no data reads. The check a resumable
+    lake needs before trusting a resume, and the per-partition-metrics
+    audit the north rule's lineage requirement implies.
 
     Multi-run semantics: silver is append-per-run, so every silver
     manifest stays live — UNLESS a later ``compact_silver`` absorbed the
@@ -648,18 +650,21 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
     manifest describes the current bytes and older silver / compact
     manifests for that partition are superseded (skipped for parity;
     their still-existing files remain claimed so a compaction crash
-    window never reports orphans). Gold is merged in place per partition
-    and each gold manifest lists the partition's whole ``dt=`` file set,
-    so only the NEWEST gold manifest per partition (by manifest mtime)
-    describes the current bytes. ``run_id`` narrows missing/row checks
-    to one run's manifests; the orphan scan always considers every
-    manifest's claims."""
+    window never reports orphans). Gold is merged in place per partition,
+    and the partition's ``state.arrow`` (committed last by each run)
+    records the rows of each of its ``dt=`` files: it claims
+    ``gold/part=K/dt=D/data.parquet`` for each recorded ``D``. ``run_id``
+    narrows missing/row checks to that run's silver manifests and to the
+    partitions whose state names the run; the orphan scan always
+    considers every claim. ``manifests_checked`` counts the silver
+    manifests and gold records checked."""
+    from .incremental import _read_state
 
     missing: list[dict] = []
     mismatched: list[dict] = []
     claimed: set[str] = set()
     # fragments removed by C8 retention are expected absences; their
-    # audited row counts reconcile the manifest totals below
+    # audited row counts reconcile the recorded totals below
     gold_root = F.join(out_root, "gold")
     expired_rows: dict[str, int] = {}
     for em in M.load_manifests(out_root, "expire"):
@@ -674,58 +679,51 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
                 return d
         return None
 
-    # partition manifests live under each layer's own root; ALL of them
-    # contribute file claims (so older runs' silver appends are never
-    # "orphans"), but only live ones are parity-checked
-    all_manifests: list[tuple] = []
-    silver_root = F.join(out_root, "silver")
-    for stage, root in (
-        ("silver", silver_root),
-        ("silver_compact", silver_root),
-        ("gold", F.join(out_root, "gold")),
-    ):
-        for m in M.load_manifests(root, stage):
-            mtime = F.getmtime(
-                M.manifest_path(root, m.stage, m.partition_key, m.run_id)
-            )
-            all_manifests.append((m, mtime))
-            for f in m.files:
-                if F.exists(f):
-                    claimed.add(F.canon(f))
-    # gold overwrites per partition: keep only the newest manifest per key;
+    # ALL silver manifests contribute file claims (so older runs' appends
+    # are never "orphans"), but only live ones are parity-checked;
     # compaction rewrites silver per partition: silver/compact manifests
     # older than the newest silver_compact manifest are superseded
-    latest_gold: dict[str, float] = {}
+    silver_root = F.join(out_root, "silver")
+    silver: list[tuple] = []
     latest_compact: dict[str, float] = {}
-    for m, mtime in all_manifests:
-        if m.stage == "gold":
-            latest_gold[m.partition_key] = max(
-                latest_gold.get(m.partition_key, 0.0), mtime
-            )
-        elif m.stage == "silver_compact":
+    for m in M.load_manifests(silver_root):
+        mtime = F.getmtime(M.manifest_path(silver_root, m.stage, m.partition_key, m.run_id))
+        silver.append((m, mtime))
+        claimed.update(F.canon(f) for f in m.files if F.exists(f))
+        if m.stage == "silver_compact":
             latest_compact[m.partition_key] = max(
                 latest_compact.get(m.partition_key, 0.0), mtime
             )
 
     def _live(m: M.PartitionManifest, mtime: float) -> bool:
-        if m.stage == "gold":
-            return mtime >= latest_gold[m.partition_key]
         if m.stage == "silver_compact":
             return mtime >= latest_compact[m.partition_key]
         # silver append: live unless absorbed by a later compaction
         return latest_compact.get(m.partition_key, -1.0) < mtime
 
-    manifests = [
-        m
-        for m, mtime in all_manifests
+    # (stage, partition, files, recorded rows) to check
+    checks = [
+        (m.stage, m.partition_key, m.files, m.rows_out)
+        for m, mtime in silver
         if (run_id is None or m.run_id == run_id) and _live(m, mtime)
     ]
-    for m in manifests:
+    for d in sorted(F.glob(F.join(out_root, "state", "part=*"))):
+        state = _read_state(d)[1]
+        if not state:
+            continue
+        key = F.basename(d)[5:]
+        files = [F.join(gold_root, f"part={key}", f"dt={dt}", "data.parquet")
+                 for dt in state["gold"]]
+        claimed.update(F.canon(f) for f in files if F.exists(f))
+        if run_id is None or state["run_id"] == run_id:
+            checks.append(("gold", key, files, sum(state["gold"].values())))
+
+    for stage, key, files, rows_out in checks:
         rows_found = 0
         rows_expired = 0
         any_missing = False
         expired_seen: set[str] = set()
-        for f in m.files:
+        for f in files:
             if not F.exists(f):
                 d = expired_dir_of(f)
                 if d is not None:
@@ -734,19 +732,17 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
                         rows_expired += expired_rows[d]
                     continue
                 any_missing = True
-                missing.append(
-                    {"stage": m.stage, "partition": m.partition_key, "file": f}
-                )
+                missing.append({"stage": stage, "partition": key, "file": f})
                 continue
             rows_found += F.parquet_rows(f)
-        # row parity over surviving files: manifest total minus the rows
+        # row parity over surviving files: recorded total minus the rows
         # the expire audit accounts for must equal what is on disk
-        if not any_missing and rows_found != m.rows_out - rows_expired:
+        if not any_missing and rows_found != rows_out - rows_expired:
             mismatched.append(
                 {
-                    "stage": m.stage,
-                    "partition": m.partition_key,
-                    "manifest_rows": m.rows_out - rows_expired,
+                    "stage": stage,
+                    "partition": key,
+                    "manifest_rows": rows_out - rows_expired,
                     "disk_rows": rows_found,
                 }
             )
@@ -758,7 +754,7 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
         if F.canon(f) not in claimed
     ]
     return {
-        "manifests_checked": len(manifests),
+        "manifests_checked": len(checks),
         "ok": not (missing or mismatched or orphans),
         "missing_files": missing,
         "row_mismatches": mismatched,

@@ -72,9 +72,9 @@ def put_partition(
     """Validate + upsert one hash partition of the online table.
 
     Returns ``{"success": n, "errors": n}`` like the reference's
-    ``batch_put_records``. Runs inside the per-partition Ray task, so
-    accounting is distributed and rides the existing manifest channel —
-    no extra driver pass."""
+    ``batch_put_records``. Runs inside the per-partition step, which
+    stores the tallies in the partition's run record (``state.arrow``)
+    and returns them to ``run_stream`` — no extra driver pass."""
     import time as _time
 
     sleep = sleep or _time.sleep
@@ -114,12 +114,3 @@ def put_partition(
             return {"success": 0, "errors": tbl.num_rows}
     return {"success": n_ok, "errors": err_tbl.num_rows}
 
-
-def summarize_puts(manifests) -> dict:
-    """Run-level ``{"success": N, "errors": M}`` from partition manifests
-    (counts were recorded in each manifest's ``extra`` by the partition
-    task — summing JSON here touches no data)."""
-    return {
-        "success": sum(m.extra.get("put_success", 0) for m in manifests),
-        "errors": sum(m.extra.get("put_errors", 0) for m in manifests),
-    }

@@ -12,8 +12,9 @@ Atomicity note: the temp-file + rename commit protocol only exists on
 filesystems with atomic rename. On object stores a single-object PUT is
 itself atomic (readers never see a partial object), so for URI paths
 :func:`write_table_atomic` and :func:`write_text_atomic` write the
-destination object directly — the lake's real commit point is the
-manifest (written after the data), not the rename.
+destination object directly. A stream partition-run's commit point is
+its ``state.arrow`` (written after the data, one whole file), not a
+rename of data already in place.
 
 Caveat for ``memory://``: fsspec's in-memory filesystem is
 PROCESS-LOCAL. Driver-side control-plane operations (bootstrap,
@@ -168,7 +169,8 @@ def replace(src: str, dst: str) -> None:
     crash can leave a window where dst is briefly missing, but never
     loses data: dst survives under the staging name and src is untouched
     until the old dst is out of the way. Callers that need crash-exact
-    commit points on URIs (the lake) commit via manifests, not renames."""
+    commit points on URIs (the lake) commit by writing one whole file
+    (:func:`_write_atomic`), not by this swap."""
     if not is_uri(src):
         os.replace(src, dst)
         return

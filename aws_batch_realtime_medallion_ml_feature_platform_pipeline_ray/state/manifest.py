@@ -1,14 +1,17 @@
-"""Lineage manifests: per-partition checkpoint + metrics records.
+"""Lineage manifests: the silver snapshot log and maintenance audits.
 
 Generalizes the reference's ad-hoc metadata sink (``spark_jobs/
-build_datasets.py:76-84, 116-139``) into the resume/backfill backbone
-(SURVEY.md §4.4): every silver/gold partition write lands atomically
-(write temp → rename) together with a JSON manifest recording input
-fragments, row counts, ts ranges and stage metrics. A rerun skips
-partitions whose manifest is complete; late-data backfill targets
-partitions whose ``max_ingest_ts`` overlaps the late window. This fixes
-the reference's append-duplication hazard (``silver_and_gold.py:75`` —
-rerunning a window appends duplicate rows).
+build_datasets.py:76-84, 116-139``): every silver partition write lands
+atomically (write temp → rename) together with a JSON manifest recording
+its file, row counts, ts ranges and wall time. These manifests are the
+snapshot log (``list_snapshots`` / ``snapshot_files``), and late-data
+backfill targets partitions whose ``max_ts`` reaches the late window.
+``compact_silver`` (``silver_compact``) and gold expiry (``expire``)
+write manifests of the same shape. Resume does not read them: a stream
+partition whose ``state/part=*/state.arrow`` names the run is done
+(pipelines/incremental.py), which fixes the reference's
+append-duplication hazard (``silver_and_gold.py:75`` — rerunning a
+window appends duplicate rows).
 """
 
 from __future__ import annotations
@@ -81,14 +84,6 @@ def load_manifests(root: str, stage: str | None = None) -> list[PartitionManifes
     return out
 
 
-def completed_partitions(root: str, stage: str, run_id: str | None = None) -> set[str]:
-    return {
-        m.partition_key
-        for m in load_manifests(root, stage)
-        if run_id is None or m.run_id == run_id
-    }
-
-
 def backfill_targets(root: str, stage: str, late_min_ts: str) -> set[str]:
     """B12 targeting: partition keys whose data could be affected by turns
     whose event time is >= ``late_min_ts`` (ISO string, lexicographic on
@@ -119,26 +114,27 @@ def atomic_write_table(tbl, path: str) -> None:
     F.write_table_atomic(tbl, path)
 
 
-def summarize(manifests: list[PartitionManifest]) -> dict:
-    """Run-level metrics from partition manifests (rows, turns/sec) —
+def summarize(rows_out: list[int], walls: list, rows_rejected: int = 0) -> dict:
+    """Run-level metrics of one stage from its partition steps' rows out
+    and wall seconds (``None`` for a step an earlier attempt committed) —
     replaces the reference's CloudWatch success metric + count() passes.
 
     Includes the per-partition task-skew summary (VERDICT r3 §next-8):
     p50/p99/max task wall seconds and ``skew_p99_over_p50`` so a
     Zipf-hot partition (one mega-conversation dominating a hash bucket)
-    is observable straight from the run artifacts — the salted
+    is observable straight from the run record — the salted
     repartition (stages/salted.py) is the remedy when this ratio runs
     hot."""
-    rows = sum(m.rows_out for m in manifests)
-    wall = sum(m.wall_s for m in manifests)
+    rows = sum(rows_out)
+    walls = sorted(w for w in walls if w is not None)
+    wall = sum(walls)
     out = {
-        "partitions": len(manifests),
+        "partitions": len(rows_out),
         "rows_out": rows,
-        "rows_rejected": sum(m.extra.get("rows_rejected", 0) for m in manifests),
+        "rows_rejected": rows_rejected,
         "sum_task_wall_s": round(wall, 3),
         "rows_per_task_s": round(rows / wall, 1) if wall > 0 else None,
     }
-    walls = sorted(m.wall_s for m in manifests if m.wall_s is not None)
     if walls:
         def _pctl(q: float) -> float:
             # nearest-rank on the sorted sample — no interpolation, so

@@ -29,7 +29,6 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines imp
     medallion,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
-    RUN_STAGE_GOLD,
     compact_silver,
     run_stream,
 )
@@ -43,9 +42,6 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages import
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
     fsio as F,
-)
-from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
-    manifest as M,
 )
 
 DAY_US = 24 * 3600 * 1_000_000
@@ -119,32 +115,19 @@ def _assert_same_lake(a, b):
         pd.testing.assert_frame_equal(_read_tree(a, sub), _read_tree(b, sub))
 
 
-def _gold_manifests(root, run_id):
-    return [
-        m for m in M.load_manifests(os.path.join(root, "gold"), RUN_STAGE_GOLD)
-        if m.run_id == run_id
-    ]
-
-
 def test_bounded_equals_full(batches, tmp_path, ray_session):
     windowed = str(tmp_path / "windowed")
-    _windowed(batches, windowed)
+    parts = _windowed(batches, windowed)[2]["partition_records"]
     _assert_same_lake(windowed, _backfill(batches, tmp_path, "all"))
 
-    gms = _gold_manifests(windowed, "r2")
-    assert gms and all(m.extra["gold_mode"] == "carried" for m in gms)
+    assert parts and all(p["gold_mode"] == "carried" for p in parts)
     # some conversation continued from its carried window: its previous
     # last row (written by an earlier run) had lead1_ts repaired in place
-    assert sum(m.extra["lead_patches"] for m in gms) > 0
+    assert sum(p["lead_patches"] for p in parts) > 0
     # a partition with no late conversation fed only the run's own turns
     # to the kernels — no silver history was read
-    silver = {
-        m.partition_key: m.rows_out
-        for m in M.load_manifests(os.path.join(windowed, "silver"), "silver")
-        if m.run_id == "r2"
-    }
-    calm = [m for m in gms if m.extra["late_convs"] == 0]
-    assert calm and all(m.rows_in <= silver[m.partition_key] for m in calm)
+    calm = [p for p in parts if p["late_convs"] == 0]
+    assert calm and all(p["gold_rows_in"] <= p["silver_rows_out"] for p in calm)
 
 
 def test_conflicting_redelivery_falls_back_to_full(batches, tmp_path,
@@ -169,7 +152,7 @@ def test_conflicting_redelivery_falls_back_to_full(batches, tmp_path,
     res = _windowed(seq, windowed)
     assert res[-1]["late_convs"] == 1
     _assert_same_lake(windowed, _backfill(seq, tmp_path, "conflict"))
-    assert any(m.extra["late_convs"] == 1 for m in _gold_manifests(windowed, "r3"))
+    assert any(p["late_convs"] == 1 for p in res[-1]["partition_records"])
 
 
 def test_bounded_after_compaction_still_exact(batches, tmp_path,
@@ -226,10 +209,10 @@ def test_one_kernel_call_per_partition_run(tmp_path, monkeypatch):
     res, calls = _calls_by_file(run_stream, second_dir, lake, run_id="r1",
                                 processed_at=PROCESSED_AT, num_parts=1)
 
-    (gm,) = _gold_manifests(lake, "r1")
+    (rec,) = res["partition_records"]
     assert res["partitions"] == 1
-    assert res["late_convs"] == gm.extra["late_convs"] > 0
-    assert gm.extra["lead_patches"] > 0  # extended conversations
+    assert res["late_convs"] == rec["late_convs"] > 0
+    assert rec["lead_patches"] > 0  # extended conversations
     assert set(new["conv_id"].to_pylist()) <= set(
         medallion.read_online(lake)["conv_id"].to_pylist())
     assert calls[(featurize.__file__, "_gold_pass")] == 1

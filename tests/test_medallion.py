@@ -139,14 +139,22 @@ def test_stream_gold_parity(ray_session, bronze_dir, tmp_path):
 
 
 def test_resume_idempotent(ray_session, bronze_dir, tmp_path):
+    from test_stream_plans import _comparable
+
     out = str(tmp_path / "lake")
-    run_stream(bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=4)
+    res1 = run_stream(bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=4)
     g1 = gold_to_pandas(out)
-    # simulate a crashed rerun: manifests exist -> all partitions skipped
+    # rerun after a crash that came after every commit: each partition's
+    # state names the run, so every step is skipped and returns the
+    # record it stored
     res2 = run_stream(
         bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=4
     )
-    assert res2["silver"]["partitions"] == 4  # manifests still counted
+    assert res2["silver"]["partitions"] == 4
+    assert _comparable(res2) == _comparable(res1)
+    assert res2["gold"]["rows_out"] == len(g1)
+    assert all(p["silver_wall_s"] is None and p["gold_wall_s"] is None
+               for p in res2["partition_records"])
     g2 = gold_to_pandas(out)
     pd.testing.assert_frame_equal(g1, g2)
     # silver files were not duplicated (the reference's append hazard)
@@ -437,8 +445,9 @@ def test_reconcile_lake(ray_session, bronze_dir, tmp_path):
 
 def test_reconcile_lake_multi_run(ray_session, bronze_dir, tmp_path):
     """A healthy two-run lake must reconcile clean: silver appends from
-    both runs are claimed, superseded gold manifests are skipped, and the
-    run_id filter narrows checks without flagging the other run's files."""
+    both runs are claimed, each partition's gold is checked against its
+    latest state record, and the run_id filter narrows checks without
+    flagging the other run's files."""
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
         reconcile_lake,
     )
@@ -452,3 +461,95 @@ def test_reconcile_lake_multi_run(ray_session, bronze_dir, tmp_path):
     assert rep2["ok"], rep2
     rep1 = reconcile_lake(out, run_id="r1")
     assert rep1["ok"], rep1
+
+
+def test_run_keeps_one_record_per_partition(ray_session, bronze_dir, tmp_path,
+                                            monkeypatch):
+    """A stream run writes no gold manifest and opens no manifest: each
+    partition's record lives in its ``state.arrow`` metadata and comes
+    back as the step's metrics row, and ``run-{id}.json`` lists one entry
+    per partition."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+        incremental as I,
+        medallion,
+    )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
+        manifest as M,
+    )
+
+    def spy(name):
+        def opened(*a, **k):
+            raise AssertionError(f"run_stream called M.{name}")
+        return opened
+
+    # the one-task plan in this process, so the spies see the steps too
+    monkeypatch.setattr(medallion, "run_one_task", lambda fn, *a: fn(*a))
+    monkeypatch.setattr(M, "read_manifest", spy("read_manifest"))
+    monkeypatch.setattr(M, "load_manifests", spy("load_manifests"))
+    out = str(tmp_path / "lake")
+    res = run_stream(bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=4)
+    monkeypatch.undo()
+
+    assert not os.path.exists(os.path.join(out, "gold", "_manifests"))
+    with open(os.path.join(out, "run-r1.json")) as f:
+        assert json.load(f) == res
+    parts = res["partition_records"]
+    assert [p["part"] for p in parts] == [0, 1, 2, 3] and res["partitions"] == 4
+    for p in parts:
+        _, state = I._read_state(os.path.join(out, "state", f"part={p['part']:05d}"))
+        assert state["run_id"] == "r1"
+        assert state["record"] == {k: v for k, v in p.items() if k in state["record"]}
+        assert set(state["record"]) == set(I._COUNTS) | {"gold_mode"}
+        assert p["gold_rows_out"] == sum(state["gold"].values())
+        assert p["silver_wall_s"] > 0 and p["gold_wall_s"] > 0
+    assert sum(p["gold_rows_out"] for p in parts) == res["gold"]["rows_out"] > 0
+    assert sum(p["silver_rows_out"] for p in parts) == res["silver"]["rows_out"]
+    assert sum(p["rows_rejected"] for p in parts) == res["silver"]["rows_rejected"] > 0
+    assert sum(p["put_success"] for p in parts) == res["online"]["success"] > 0
+    assert {p["gold_mode"] for p in parts} == {"full"}
+
+
+def test_reconcile_lake_partial_rerun(ray_session, bronze_dir, tmp_path):
+    """Run r2 touches only some of r1's partitions: ``run_id="r1"``
+    checks the gold of the partitions r2 left alone, against each one's
+    ``state.arrow`` record, and a truncated ``dt=`` file there is a row
+    mismatch."""
+    import pyarrow.parquet as pq
+
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
+        reconcile_lake,
+    )
+
+    out = str(tmp_path / "lake")
+    run_stream(bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=4)
+    tbl = pa.concat_tables([pq.read_table(f) for f in
+                            sorted(glob.glob(os.path.join(bronze_dir, "*.parquet")))])
+    one = tbl.filter(pa.compute.equal(tbl["conv_id"], tbl["conv_id"][0]))
+    b2 = tmp_path / "bronze2"
+    b2.mkdir()
+    pq.write_table(one, b2 / "part-0.parquet")
+    res2 = run_stream(str(b2), out, run_id="r2", processed_at=PROCESSED_AT, num_parts=4)
+    (touched,) = [p["part"] for p in res2["partition_records"]]
+    left = [k for k in range(4) if k != touched]
+
+    rep1 = reconcile_lake(out, run_id="r1")
+    assert rep1["ok"], rep1
+    # r1's four silver manifests + the gold records r2 did not replace
+    assert rep1["manifests_checked"] == 4 + len(left)
+    rep2 = reconcile_lake(out, run_id="r2")
+    assert rep2["ok"] and rep2["manifests_checked"] == 2, rep2
+
+    def truncate(part):
+        victim = sorted(glob.glob(os.path.join(
+            out, "gold", f"part={part:05d}", "dt=*", "data.parquet")))[0]
+        t = pq.read_table(victim)
+        pq.write_table(t.slice(0, t.num_rows - 1), victim)
+
+    truncate(touched)  # r2's gold: not r1's to check
+    assert reconcile_lake(out, run_id="r1")["ok"]
+    assert not reconcile_lake(out, run_id="r2")["ok"]
+    truncate(left[0])
+    rep1 = reconcile_lake(out, run_id="r1")
+    bad = [m for m in rep1["row_mismatches"] if m["stage"] == "gold"]
+    assert [m["partition"] for m in bad] == [f"{left[0]:05d}"]
+    assert bad[0]["disk_rows"] == bad[0]["manifest_rows"] - 1

@@ -24,6 +24,9 @@ import pyarrow as pa
 import pytest
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray import schema as S
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+    incremental as I,
+)
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.daily import (
     run_daily,
 )
@@ -140,7 +143,7 @@ def test_control_plane_on_memory_fs(ray_session):
         assert read_online(root).num_rows == 0
         assert lookup_online(root, ["conv_x"]).num_rows == 0
 
-        # fake gold fragments + manifests, all through the facade
+        # fake gold fragments + their state record, all through the facade
         gold_root = F.join(root, "gold")
         rows_by_dt = {"2024-01-01": 3, "2024-01-05": 2}
         files = []
@@ -154,16 +157,12 @@ def test_control_plane_on_memory_fs(ray_session):
             f_path = F.join(gold_root, "part=00000", f"dt={dt}", "data.parquet")
             M.atomic_write_table(tbl, f_path)
             files.append(f_path)
-        M.write_manifest(
-            gold_root,
-            M.PartitionManifest(
-                stage="gold", partition_key="00000", run_id="r1",
-                rows_out=5, files=files,
-            ),
+        I._commit_state(
+            F.join(root, "state", "part=00000"),
+            I._state_schema("r1", rows_by_dt, {}).empty_table(),
         )
-        assert M.completed_partitions(gold_root, "gold", "r1") == {"00000"}
         rec = reconcile_lake(root)
-        assert rec["ok"], rec
+        assert rec["ok"] and rec["manifests_checked"] == 1, rec
 
         # C8 expiry: cutoff persisted, fragment removed, audit written
         res = expire_gold_partitions(root, keep_from_dt="2024-01-02")

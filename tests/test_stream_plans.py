@@ -37,7 +37,8 @@ LAKE_FILES = (
 )
 # per-task wall times: the only run-result figures that differ between runs
 WALL_KEYS = {"sum_task_wall_s", "rows_per_task_s", "task_wall_p50_s",
-             "task_wall_p99_s", "task_wall_max_s", "skew_p99_over_p50"}
+             "task_wall_p99_s", "task_wall_max_s", "skew_p99_over_p50",
+             "silver_wall_s", "gold_wall_s"}
 
 
 def force_exchange(monkeypatch):
@@ -93,9 +94,12 @@ def _lake_bytes(out):
 
 
 def _comparable(result):
+    """A run result without its plan and wall times."""
     def strip(v):
         if isinstance(v, dict):
             return {k: strip(x) for k, x in v.items() if k not in WALL_KEYS}
+        if isinstance(v, list):
+            return [strip(x) for x in v]
         return v
 
     return {k: strip(v) for k, v in result.items() if k != "plan"}
