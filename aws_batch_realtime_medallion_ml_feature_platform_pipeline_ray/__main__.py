@@ -91,13 +91,9 @@ def cmd_compact(args) -> dict:
 
 
 def cmd_snapshots(args) -> dict:
-    import os as _os
-
     from .state.manifest import list_snapshots
 
-    return {
-        "snapshots": list_snapshots(_os.path.join(args.out, "silver"), "silver")
-    }
+    return {"snapshots": list_snapshots(args.out)}
 
 
 def cmd_lookup(args) -> dict:
@@ -160,7 +156,7 @@ def main(argv=None) -> int:
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_bootstrap)
 
-    rc = sub.add_parser("reconcile", help="verify silver manifests and each partition's state record vs on-disk files/rows; flag orphans")
+    rc = sub.add_parser("reconcile", help="verify the run records' silver files, compaction manifests and each partition's state record vs on-disk files/rows; flag orphans")
     rc.add_argument("--out", required=True)
     rc.add_argument("--run-id", default=None)
     rc.set_defaults(fn=cmd_reconcile)
@@ -176,7 +172,7 @@ def main(argv=None) -> int:
     cp.add_argument("--min-files", type=int, default=2)
     cp.set_defaults(fn=cmd_compact)
 
-    sn = sub.add_parser("snapshots", help="list silver snapshot commits (time-travel axis)")
+    sn = sub.add_parser("snapshots", help="list silver snapshot commits, runs and compactions, from the run records and compaction manifests (time-travel axis)")
     sn.add_argument("--out", required=True)
     sn.set_defaults(fn=cmd_snapshots)
 

@@ -27,10 +27,11 @@ Per hash partition the state is one LZ4-compressed Arrow IPC file,
 - the schema metadata is the record of the run that wrote the file: its
   ``run_id``, the row count of each of the partition's gold ``dt=``
   files (``gold``), and its counts (``record``): silver rows in, out and
-  rejected, new rows, the gold mode, late conversations, gold rows in,
-  ``lead1_ts`` patches, and online puts accepted and rejected. Wall times
-  stay out, so the file is byte-identical across plans and across a
-  crash and rerun.
+  rejected, the silver slice's ``min_ts``/``max_ts``/``max_ingest_ts``,
+  new rows, the gold mode, late conversations, gold rows in, ``lead1_ts``
+  patches, and online puts accepted and rejected. Wall times stay out,
+  so the file is byte-identical across plans and across a crash and
+  rerun.
 
 The file is written under a temp name and renamed into place
 (``fsio.write_ipc_atomic``), so it needs no pointer and leaves no old
@@ -61,7 +62,8 @@ counters of every touched conversation come from its latest gold row.
 
 Commit order; every step is idempotent, so rerunning a crashed
 ``run_id`` converges to the uninterrupted result:
-1. silver run file + silver manifest;
+1. silver run file (``manifest.silver_file``), in the silver log once
+   ``run_stream`` commits the run's record after every partition;
 2. ``dt=`` merges (``medallion.write_gold_partition``);
 3. online upsert;
 4. ``state.arrow`` rename (``_commit_state``), last. A partition whose
@@ -90,7 +92,6 @@ from ..state import fsio as F
 from ..state import manifest as M
 from .medallion import (
     KEY,
-    RUN_STAGE_SILVER,
     VALID_COL,
     _gold_partition_bounded,
     _retention_cutoff,
@@ -113,9 +114,11 @@ _STATE_SCHEMA = pa.schema(list(_WINDOW_SCHEMA) + [pa.field(c, pa.int64()) for c 
 # row (with the partition, its gold rows out and its wall times)
 _COUNTS = ("silver_rows_in", "silver_rows_out", "rows_rejected", "new_rows",
            "late_convs", "gold_rows_in", "lead_patches", "put_success", "put_errors")
+_TS_RANGE = ("min_ts", "max_ts", "max_ingest_ts")  # of the silver slice, ISO
 _METRICS_SCHEMA = pa.schema(
     [pa.field("part", pa.int32()), pa.field("gold_mode", pa.string())]
     + [pa.field(c, pa.int64()) for c in _COUNTS + ("gold_rows_out",)]
+    + [pa.field(c, pa.string()) for c in _TS_RANGE]
     + [pa.field(c, pa.float64()) for c in ("silver_wall_s", "gold_wall_s")]
 )
 
@@ -205,26 +208,9 @@ def process_partition_incremental(
     g = g.append_column("dt", pc.strftime(ts_arr, format="%Y-%m-%d"))
 
     # ---- 1. silver: append the run's deduped slice ----
-    silver_file = F.join(silver_root, f"part={key}", f"run-{run_id}.parquet")
-    M.atomic_write_table(g.select([f.name for f in S.SILVER] + ["ingest_ts"]), silver_file)
-    ing = g["ingest_ts"].combine_chunks()
+    M.atomic_write_table(g.select([f.name for f in S.SILVER] + ["ingest_ts"]),
+                         M.silver_file(silver_root, part, run_id))
     silver_wall = time.perf_counter() - t0
-    M.write_manifest(
-        silver_root,
-        M.PartitionManifest(
-            stage=RUN_STAGE_SILVER,
-            partition_key=key,
-            run_id=run_id,
-            rows_in=group.num_rows,
-            rows_out=g.num_rows,
-            min_ts=str(pc.min(ts_arr).as_py()) if g.num_rows else None,
-            max_ts=str(pc.max(ts_arr).as_py()) if g.num_rows else None,
-            max_ingest_ts=str(pc.max(ing).as_py()) if g.num_rows else None,
-            wall_s=silver_wall,
-            files=[silver_file],
-            extra={"rows_rejected": rows_rejected},
-        ),
-    )
 
     # ---- gold rows: one kernel call extends the conversations past their
     # carried last_ts and recomputes the late ones ----
@@ -282,6 +268,7 @@ def process_partition_incremental(
         "silver_rows_in": group.num_rows,
         "silver_rows_out": g.num_rows,
         "rows_rejected": rows_rejected,
+        **_ts_range(g),
         "new_rows": fresh.num_rows,
         "gold_mode": "carried" if state else "full",
         "late_convs": len(late_convs),
@@ -304,6 +291,14 @@ def _metrics(part: int, record: dict, gold_rows: dict, silver_wall, gold_wall) -
     row = dict(record, part=part, gold_rows_out=sum(gold_rows.values()),
                silver_wall_s=silver_wall, gold_wall_s=gold_wall)
     return pa.Table.from_pylist([row], schema=_METRICS_SCHEMA)
+
+
+def _ts_range(g: pa.Table) -> dict:
+    """The silver slice's ``min_ts``/``max_ts`` and ``max_ingest_ts`` as
+    ISO strings, null when the slice is empty."""
+    ts = pc.min_max(g["ts"])
+    vals = (ts["min"].as_py(), ts["max"].as_py(), pc.max(g["ingest_ts"]).as_py())
+    return {k: v and v.isoformat() for k, v in zip(_TS_RANGE, vals)}
 
 
 def _str_array(values) -> pa.Array:

@@ -15,8 +15,9 @@ SURVEY.md §3.1) as:
    commit the partition's new state, ``state/part=*/state.arrow``, last:
    one Arrow IPC file holding the trailing window of text-free rows,
    each conversation's carried counters and the partition-run's record,
-   renamed into place. ``run_stream`` builds the run's summaries from the
-   records the steps return.
+   renamed into place. ``run_stream`` builds the run's record from the
+   records the steps return and commits it last, as ``run-{id}.json``:
+   the silver log's entry for the run (``state/manifest.py``).
 
 The input's size on disk picks how steps 1-4 run. An input the sized
 read would make one block (``sources.reads.num_blocks_for`` == 1, at most
@@ -74,7 +75,6 @@ from ..stages.keyed import PART_COL, add_partition_col, split_by_partition
 from ..state import manifest as M
 from ..sources.reads import num_blocks_for, parquet_files, read_parquet_sized
 
-RUN_STAGE_SILVER = "silver"
 KEY = ["conv_id", "turn_idx"]
 
 
@@ -105,40 +105,25 @@ def normalize_bronze(batch: pa.Table, *, processed_at: str,
     (reference ingest_features.py:63-98 tallies per-batch failures; here
     rejects are durable per-partition metrics, and 'retry' is the
     idempotent resume of the atomic writes and the state commit). Window
-    misses are dropped either way: they are not errors, just out-of-slice."""
+    misses are dropped either way: they are not errors, just out-of-slice.
+    A valid row has a ``conv_id``, a ``turn_idx``, a ``ts`` and non-empty
+    text."""
     t = batch
+    if window is not None:
+        lo, hi = (pa.scalar(_coerce_ts(b), pa.timestamp("us")) for b in window)
+        its = t["ingest_ts"]
+        t = t.filter(pc.and_(pc.greater_equal(its, lo), pc.less_equal(its, hi)))
     # fill_null(False): a NULL text makes the predicate null, which the
     # int8 cast would keep as null -> NaN, matching neither ==0 (reject
     # count) nor ==1 (keep) — the row would vanish uncounted
-    mask = pc.fill_null(
-        pc.and_(
-            pc.and_(pc.is_valid(t["conv_id"]), pc.is_valid(t["turn_idx"])),
-            pc.greater(pc.utf8_length(t["text"]), 0),
-        ),
-        False,
-    )
-    if window is not None:
-        lo, hi = (_coerce_ts(b) for b in window)
-        its = t["ingest_ts"]
-        wmask = pc.and_(
-            pc.greater_equal(its, pa.scalar(lo, pa.timestamp("us"))),
-            pc.less_equal(its, pa.scalar(hi, pa.timestamp("us"))),
-        )
-    else:
-        wmask = None
+    mask = pc.greater(pc.utf8_length(t["text"]), 0)
+    for c in ("conv_id", "turn_idx", "ts"):
+        mask = pc.and_(mask, pc.is_valid(t[c]))
+    mask = pc.fill_null(mask, False)
     if tag_invalid:
-        if wmask is not None:
-            t = t.filter(wmask)
-            mask = pc.fill_null(
-                pc.and_(
-                    pc.and_(pc.is_valid(t["conv_id"]), pc.is_valid(t["turn_idx"])),
-                    pc.greater(pc.utf8_length(t["text"]), 0),
-                ),
-                False,
-            )
         t = t.append_column(VALID_COL, pc.cast(mask, pa.int8()))
     else:
-        t = t.filter(mask if wmask is None else pc.and_(mask, wmask))
+        t = t.filter(mask)
     t = t.append_column("processed_at", pa.array([processed_at] * t.num_rows))
     return t
 
@@ -162,12 +147,16 @@ def run_stream(
     the module docstring), ``input_bytes`` (bronze bytes on disk) and
     ``partition_records``: each partition step's metrics row, ascending
     by partition (walls are null for a partition an earlier attempt of
-    the run committed).
+    the run committed), and ``commit_ts``.
+
+    Writing ``run-{id}.json`` (``manifest.write_run_record``) commits the
+    run: its silver enters the silver log, all at once.
 
     ``num_parts`` is part of the lake's physical layout (conversation →
     partition assignment): it is pinned in ``state/_meta.json`` on the
     first run and later runs must match, else silver and state would
     silently split across partition directories."""
+    _pin_num_parts(out_root, num_parts)
     silver_root = F.join(out_root, "silver")
     gold_root = F.join(out_root, "gold")
     online_root = F.join(out_root, "online")
@@ -175,7 +164,6 @@ def run_stream(
     # dedup happens explicitly on the silver slice and history read-back,
     # so the fused pass can skip its own dedup step
     cfg = gold_cfg or GoldConfig(dedup=False)
-    _pin_num_parts(state_root, num_parts)
     step = dict(
         silver_root=silver_root, gold_root=gold_root, online_root=online_root,
         state_root=state_root, cfg=cfg, run_id=run_id,
@@ -192,17 +180,10 @@ def run_stream(
         rows = _run_partitions_exchange(bronze_path, prep, step)
     parts = sorted(rows, key=lambda r: r["part"])
 
-    # persist the partitioning so keyed online lookups can route by hash
-    F.makedirs(online_root, exist_ok=True)
-    F.write_text_atomic(
-        F.join(online_root, "_meta.json"),
-        json.dumps({"num_parts": num_parts, "key": "conv_id"}),
-    )
-
     def col(name):
         return [p[name] for p in parts]
 
-    result = dict(
+    return M.write_run_record(out_root, dict(
         run_id=run_id,
         plan=plan,
         input_bytes=input_bytes,
@@ -214,10 +195,7 @@ def run_stream(
         new_rows=sum(col("new_rows")),
         late_convs=sum(col("late_convs")),
         partition_records=parts,
-    )
-    run_manifest = F.join(out_root, f"run-{run_id}.json")
-    F.write_text_atomic(run_manifest, json.dumps(result, indent=1))
-    return result
+    ))
 
 
 @functools.cache
@@ -279,19 +257,23 @@ def _run_partitions_exchange(bronze_path, prep: dict, step: dict) -> list[dict]:
     return [r for t in ray.get(ds.to_arrow_refs()) for r in t.to_pylist()]
 
 
-def _pin_num_parts(state_root: str, num_parts: int) -> None:
-    meta_path = F.join(state_root, "_meta.json")
+def _pin_num_parts(out_root: str, num_parts: int) -> None:
+    """Check ``num_parts`` against the lake's pinned ``state/_meta.json``;
+    on the first run, write ``online/_meta.json`` (the partitioning keyed
+    online lookups route by) and then the pin."""
+    meta_path = F.join(out_root, "state", "_meta.json")
     if F.exists(meta_path):
         with F.open_(meta_path) as f:
             pinned = int(json.load(f)["num_parts"])
         if pinned != int(num_parts):
             raise ValueError(
-                f"lake at {F.dirname(state_root)} was created with "
+                f"lake at {out_root} was created with "
                 f"num_parts={pinned}; got {num_parts} — the partition "
                 "layout is fixed at lake creation"
             )
         return
-    F.makedirs(state_root, exist_ok=True)
+    F.write_text_atomic(F.join(out_root, "online", "_meta.json"),
+                        json.dumps({"num_parts": int(num_parts), "key": "conv_id"}))
     F.write_text_atomic(meta_path, json.dumps({"num_parts": int(num_parts)}))
 
 
@@ -552,6 +534,11 @@ def compact_silver(
     result, and re-running compaction converges. Compaction itself
     applies the same dedup rule, so the operation is idempotent.
 
+    Each partition's rewrite is logged as a ``silver_compact`` manifest
+    (written before the source deletes) naming the files it coalesced;
+    in the silver log (``manifest.silver_log``) it supersedes the run
+    records' appends of those files.
+
     One Ray task per partition directory (filesystem-level work the
     Dataset API can't express); only O(partitions) summary rows return
     to the driver."""
@@ -580,7 +567,7 @@ def compact_silver(
         M.atomic_write_table(tbl, out)
         # manifest BEFORE the source deletes: from the instant a source can
         # be missing, a newer silver_compact manifest already supersedes the
-        # per-run silver manifests that claimed it, so reconcile_lake stays
+        # run records' appends that claimed it, so reconcile_lake stays
         # green through the crash window (and re-running compaction converges)
         ts_arr = tbl["ts"].combine_chunks() if tbl.num_rows else None
         ing = tbl["ingest_ts"].combine_chunks() if tbl.num_rows else None
@@ -636,28 +623,30 @@ def uuid_hex() -> str:
 
 
 def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
-    """Lineage-integrity reconciliation: verify that every file a silver
-    manifest or a partition's run record claims exists on disk with the
+    """Lineage-integrity reconciliation: verify that every file the silver
+    log or a partition's state record claims exists on disk with the
     recorded row counts, and flag on-disk parquet leaves nothing claims
-    (orphans — e.g. debris from a killed run before its commit). Filesystem
-    metadata + parquet footers only, no data reads. The check a resumable
-    lake needs before trusting a resume, and the per-partition-metrics
-    audit the north rule's lineage requirement implies.
+    (orphans — e.g. the silver of a run that crashed before committing
+    its run record). Filesystem metadata + parquet footers only, no data
+    reads. The check a resumable lake needs before trusting a resume,
+    and the per-partition-metrics audit the north rule's lineage
+    requirement implies.
 
-    Multi-run semantics: silver is append-per-run, so every silver
-    manifest stays live — UNLESS a later ``compact_silver`` absorbed the
-    partition's run files, in which case the newest ``silver_compact``
-    manifest describes the current bytes and older silver / compact
-    manifests for that partition are superseded (skipped for parity;
-    their still-existing files remain claimed so a compaction crash
-    window never reports orphans). Gold is merged in place per partition,
-    and the partition's ``state.arrow`` (committed last by each run)
-    records the rows of each of its ``dt=`` files: it claims
-    ``gold/part=K/dt=D/data.parquet`` for each recorded ``D``. ``run_id``
-    narrows missing/row checks to that run's silver manifests and to the
-    partitions whose state names the run; the orphan scan always
+    Multi-run semantics: silver is append-per-run, and each committed run
+    record claims its partitions' silver files (``manifest.silver_file``)
+    with ``silver_rows_out`` rows. A record stays live UNLESS a
+    ``compact_silver`` committed after it absorbed the partition's run
+    files: then the newest ``silver_compact`` manifest describes the
+    current bytes, and older appends and compactions of that partition
+    are superseded (skipped for parity; their still-existing files remain
+    claimed so a compaction crash window never reports orphans). Gold is
+    merged in place per partition, and the partition's ``state.arrow``
+    (committed last by each run) records the rows of each of its ``dt=``
+    files: it claims ``gold/part=K/dt=D/data.parquet`` for each recorded
+    ``D``. ``run_id`` narrows missing/row checks to that run's record and
+    to the partitions whose state names the run; the orphan scan always
     considers every claim. ``manifests_checked`` counts the silver
-    manifests and gold records checked."""
+    commits and gold records checked."""
     from .incremental import _read_state
 
     missing: list[dict] = []
@@ -679,33 +668,29 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
                 return d
         return None
 
-    # ALL silver manifests contribute file claims (so older runs' appends
-    # are never "orphans"), but only live ones are parity-checked;
-    # compaction rewrites silver per partition: silver/compact manifests
-    # older than the newest silver_compact manifest are superseded
-    silver_root = F.join(out_root, "silver")
-    silver: list[tuple] = []
+    # EVERY silver commit claims its files (so older runs' appends are
+    # never "orphans"), but only live ones are parity-checked: a
+    # compaction supersedes the partition's older commits
+    silver = M.silver_log(out_root)
     latest_compact: dict[str, float] = {}
-    for m in M.load_manifests(silver_root):
-        mtime = F.getmtime(M.manifest_path(silver_root, m.stage, m.partition_key, m.run_id))
-        silver.append((m, mtime))
+    for m in silver:
         claimed.update(F.canon(f) for f in m.files if F.exists(f))
         if m.stage == "silver_compact":
             latest_compact[m.partition_key] = max(
-                latest_compact.get(m.partition_key, 0.0), mtime
+                latest_compact.get(m.partition_key, float("-inf")), m.commit_ts
             )
 
-    def _live(m: M.PartitionManifest, mtime: float) -> bool:
+    def _live(m: M.PartitionManifest) -> bool:
+        newest = latest_compact.get(m.partition_key, float("-inf"))
         if m.stage == "silver_compact":
-            return mtime >= latest_compact[m.partition_key]
-        # silver append: live unless absorbed by a later compaction
-        return latest_compact.get(m.partition_key, -1.0) < mtime
+            return m.commit_ts >= newest
+        return newest < m.commit_ts  # an append no compaction absorbed yet
 
     # (stage, partition, files, recorded rows) to check
     checks = [
         (m.stage, m.partition_key, m.files, m.rows_out)
-        for m, mtime in silver
-        if (run_id is None or m.run_id == run_id) and _live(m, mtime)
+        for m in silver
+        if (run_id is None or m.run_id == run_id) and _live(m)
     ]
     for d in sorted(F.glob(F.join(out_root, "state", "part=*"))):
         state = _read_state(d)[1]
@@ -789,7 +774,8 @@ def read_gold(out_root: str):
 
 def _snapshot_part_datasets(out_root: str, as_of: float, per_group):
     """Shared snapshot-read shape for silver/gold time travel: pick the
-    exact file set via the manifest log, group files by silver hash
+    exact file set via the silver log (``manifest.snapshot_files``: the
+    run records and compaction manifests), group files by silver hash
     partition (conv→partition assignment is stable across runs, so a
     ``part=`` dir is an exact dedup group with NO shuffle), and run
     ``per_group(deduped_table)`` as one Ray task per partition. Returns
@@ -798,11 +784,7 @@ def _snapshot_part_datasets(out_root: str, as_of: float, per_group):
     import ray
     import ray.data as rd
 
-    from ..state.manifest import snapshot_files
-
-    files = snapshot_files(
-        F.join(out_root, "silver"), RUN_STAGE_SILVER, as_of
-    )
+    files = M.snapshot_files(out_root, as_of)
     if not files:
         return None
     by_part: dict[str, list[str]] = {}
@@ -823,10 +805,11 @@ def _snapshot_part_datasets(out_root: str, as_of: float, per_group):
 
 def read_silver_snapshot(out_root: str, as_of: float, *, dedup: bool = True):
     """Snapshot-isolation (time-travel) read of the silver layer as of
-    wall-clock ``as_of`` (epoch seconds): the manifest log picks the
-    exact file set every run committed at or before ``as_of`` produced
-    (state/manifest.snapshot_files — compaction rewrites supersede
-    exactly the files they coalesced). Raises
+    wall-clock ``as_of`` (epoch seconds): the silver log picks the exact
+    file set of every run whose record was committed at or before
+    ``as_of`` (state/manifest.snapshot_files — a run that has not
+    committed its record is not in any snapshot; compaction rewrites
+    supersede exactly the files they coalesced). Raises
     ``SnapshotUnavailableError`` when a later compaction/expire
     garbage-collected the needed history; an ``as_of`` before the first
     commit returns an empty silver-schema dataset.
@@ -843,11 +826,7 @@ def read_silver_snapshot(out_root: str, as_of: float, *, dedup: bool = True):
     from ..schema import SILVER
 
     if not dedup:
-        from ..state.manifest import snapshot_files
-
-        files = snapshot_files(
-            F.join(out_root, "silver"), RUN_STAGE_SILVER, as_of
-        )
+        files = M.snapshot_files(out_root, as_of)
         if not files:
             return rd.from_arrow(SILVER.empty_table())
         return read_parquet_sized(files)
@@ -863,7 +842,7 @@ def gold_snapshot(out_root: str, as_of: float, *, gold_cfg: GoldConfig | None = 
     commit was latest at ``as_of`` computed (training-time point-in-time
     correctness at the LAKE level; the as-of JOIN gives it at the row
     level). One Ray task per silver hash partition, files picked by the
-    manifest log, nothing recomputed outside the snapshot."""
+    silver log, nothing recomputed outside the snapshot."""
     import ray.data as rd
 
     cfg = gold_cfg or GoldConfig(dedup=False)
@@ -892,7 +871,10 @@ def lookup_online(out_root: str, conv_ids: list[str]) -> pa.Table:
     from ..stages.keyed import hash_key
 
     online_root = F.join(out_root, "online")
-    with F.open_(F.join(online_root, "_meta.json")) as f:
+    meta_path = F.join(online_root, "_meta.json")
+    if not F.exists(meta_path):  # before the lake's first run: no rows
+        return S.GOLD.empty_table()
+    with F.open_(meta_path) as f:
         meta = json.load(f)
     num_parts = int(meta["num_parts"])
     ids_arr = pa.array(conv_ids, pa.string())
@@ -914,8 +896,10 @@ def bootstrap_lake(out_root: str) -> dict:
     feature_store/register_feature_groups.py:13-76 registers typed
     features and polls creation): write the canonical layer schemas as a
     JSON manifest plus an empty typed online table, idempotently, so
-    downstream consumers can resolve types before any data lands. Returns
-    the registration summary."""
+    downstream consumers can resolve types before any data lands. The
+    online partitioning (``online/_meta.json``) is written by the first
+    stream run, with the pinned ``num_parts``. Returns the registration
+    summary."""
     layers = {"bronze": S.BRONZE, "silver": S.SILVER, "gold": S.GOLD}
     reg = {
         name: [{"name": f.name, "type": str(f.type)} for f in sch]
@@ -924,16 +908,9 @@ def bootstrap_lake(out_root: str) -> dict:
     F.makedirs(out_root, exist_ok=True)
     schema_path = F.join(out_root, "_schemas.json")
     F.write_text_atomic(schema_path, json.dumps(reg, indent=1))
-    online_root = F.join(out_root, "online")
-    # existence-guarded like _meta.json: re-running bootstrap on a
-    # populated lake must never wipe live online rows in partition 0
-    online_seed = F.join(online_root, "part=00000", "data.parquet")
+    # existence-guarded: re-running bootstrap on a populated lake must
+    # never wipe live online rows in partition 0
+    online_seed = F.join(out_root, "online", "part=00000", "data.parquet")
     if not F.exists(online_seed):
-        empty = S.GOLD.empty_table()
-        M.atomic_write_table(empty, online_seed)
-    meta_path = F.join(online_root, "_meta.json")
-    if not F.exists(meta_path):
-        F.write_text_atomic(
-            meta_path, json.dumps({"num_parts": 1, "key": "conv_id"})
-        )
+        M.atomic_write_table(S.GOLD.empty_table(), online_seed)
     return {"schemas": schema_path, "layers": sorted(reg), "status": "Created"}

@@ -81,7 +81,8 @@ WITH src AS (
         SELECT *, row_number() OVER (PARTITION BY conv_id, turn_idx
                                      ORDER BY ts, ingest_ts) AS rn
         FROM read_parquet('{bronze}/*.parquet')
-        WHERE conv_id IS NOT NULL AND turn_idx IS NOT NULL AND length(text) > 0
+        WHERE conv_id IS NOT NULL AND turn_idx IS NOT NULL AND ts IS NOT NULL
+            AND length(text) > 0
     ) WHERE rn = 1
 ),
 f AS (

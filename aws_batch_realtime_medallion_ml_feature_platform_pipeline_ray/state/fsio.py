@@ -185,21 +185,6 @@ def replace(src: str, dst: str) -> None:
         fs.rm(staged, recursive=True)
 
 
-def getmtime(path: str) -> float:
-    if not is_uri(path):
-        return os.path.getmtime(path)
-    fs, p = split_fs(path)
-    info = fs.info(p)
-    for k in ("mtime", "LastModified", "last_modified", "created"):
-        v = info.get(k)
-        if v is None:
-            continue
-        if hasattr(v, "timestamp"):
-            return float(v.timestamp())
-        return float(v)
-    return 0.0
-
-
 # fsspec protocols with POSIX rename semantics: keep the temp + rename
 # commit protocol there (a crash mid-write must never leave a partial
 # manifest — ADVICE r3); true object stores get the direct PUT, which is

@@ -1,13 +1,20 @@
-"""Lineage manifests: the silver snapshot log and maintenance audits.
+"""The lake's commit log: stream run records, compaction and expiry
+manifests.
 
 Generalizes the reference's ad-hoc metadata sink (``spark_jobs/
-build_datasets.py:76-84, 116-139``): every silver partition write lands
-atomically (write temp → rename) together with a JSON manifest recording
-its file, row counts, ts ranges and wall time. These manifests are the
-snapshot log (``list_snapshots`` / ``snapshot_files``), and late-data
-backfill targets partitions whose ``max_ts`` reaches the late window.
-``compact_silver`` (``silver_compact``) and gold expiry (``expire``)
-write manifests of the same shape. Resume does not read them: a stream
+build_datasets.py:76-84, 116-139``). A stream run commits ONE record,
+``run-{id}.json`` at the lake root, written atomically after every
+partition step has committed (:func:`write_run_record`): the run's
+summaries, one record per partition (silver rows in/out/rejected,
+``min_ts``/``max_ts``/``max_ingest_ts``, gold and online counts) and its
+``commit_ts``. A partition's silver file follows from the run id
+(:func:`silver_file`), so the record names it without listing it. The
+run records and the ``silver_compact`` manifests that ``compact_silver``
+writes are the silver log (:func:`silver_log`): snapshots
+(``list_snapshots`` / ``snapshot_files``) and ``reconcile_lake`` read it,
+and a run's silver becomes visible to a snapshot all at once, at its
+commit. ``backfill_targets`` reads ``max_ts`` from the run records. Gold
+expiry writes ``expire`` manifests. Resume reads none of them: a stream
 partition whose ``state/part=*/state.arrow`` names the run is done
 (pipelines/incremental.py), which fixes the reference's
 append-duplication hazard (``silver_and_gold.py:75`` — rerunning a
@@ -17,9 +24,7 @@ window appends duplicate rows).
 from __future__ import annotations
 
 import json
-import os
 import time
-import uuid
 from dataclasses import dataclass, field
 
 from . import fsio as F
@@ -64,11 +69,6 @@ def write_manifest(root: str, m: PartitionManifest) -> None:
     F.write_text_atomic(path, json.dumps(vars(m)))
 
 
-def read_manifest(root: str, stage: str, partition_key: str, run_id: str) -> PartitionManifest:
-    with F.open_(manifest_path(root, stage, partition_key, run_id)) as f:
-        return PartitionManifest(**json.load(f))
-
-
 def load_manifests(root: str, stage: str | None = None) -> list[PartitionManifest]:
     d = manifest_dir(root)
     if not F.isdir(d):
@@ -84,27 +84,66 @@ def load_manifests(root: str, stage: str | None = None) -> list[PartitionManifes
     return out
 
 
-def backfill_targets(root: str, stage: str, late_min_ts: str) -> set[str]:
+def silver_file(silver_root: str, part: int, run_id: str) -> str:
+    """The silver file a stream run writes for hash partition ``part``."""
+    return F.join(silver_root, f"part={int(part):05d}", f"run-{run_id}.parquet")
+
+
+def write_run_record(root: str, record: dict) -> dict:
+    """Commit a stream run: stamp ``commit_ts`` (epoch seconds) into
+    ``record``, write ``run-{run_id}.json`` atomically, return it."""
+    record = dict(record, commit_ts=time.time())
+    F.write_text_atomic(F.join(root, f"run-{record['run_id']}.json"),
+                        json.dumps(record, indent=1))
+    return record
+
+
+def load_run_records(root: str) -> list[dict]:
+    """The lake's committed run records; those of older lakes, written
+    without a ``commit_ts``, are skipped."""
+    recs = []
+    for path in sorted(F.glob(F.join(root, "run-*.json"))):
+        with F.open_(path) as f:
+            recs.append(json.load(f))
+    return [r for r in recs if "commit_ts" in r]
+
+
+def silver_log(root: str) -> list[PartitionManifest]:
+    """The silver commits of the lake at ``root``, as manifests: each
+    run's append per partition (stage ``silver``, from its run record)
+    and every ``silver_compact`` rewrite."""
+    silver_root = F.join(root, "silver")
+    appends = [
+        PartitionManifest(
+            stage="silver", partition_key=f"{p['part']:05d}", run_id=r["run_id"],
+            rows_out=p["silver_rows_out"], max_ts=p.get("max_ts"),
+            files=[silver_file(silver_root, p["part"], r["run_id"])],
+            commit_ts=r["commit_ts"],
+        )
+        for r in load_run_records(root) for p in r["partition_records"]
+    ]
+    return appends + load_manifests(silver_root, "silver_compact")
+
+
+def backfill_targets(root: str, late_min_ts: str) -> set[str]:
     """B12 targeting: partition keys whose data could be affected by turns
-    whose event time is >= ``late_min_ts`` (ISO string, lexicographic on
-    ISO timestamps == chronological). Windows are per-entity, so the blast
-    radius of late data is exactly the partitions whose ``max_ts`` reaches
-    past the late window start; everything else can be skipped on the
-    backfill rerun. The reference parsed ``watermark_delay_minutes``
-    (silver_and_gold.py:31) but never used it — here it bounds
-    ``late_min_ts = window_start - watermark_delay``."""
+    whose event time is >= ``late_min_ts`` (ISO string). Windows are
+    per-entity, so the blast radius of late data is exactly the
+    partitions where some run's ``max_ts`` (from the run records)
+    reaches past the late window start; everything else can be skipped
+    on the backfill rerun. The reference parsed
+    ``watermark_delay_minutes`` (silver_and_gold.py:31) but never used
+    it — here it bounds ``late_min_ts = window_start - watermark_delay``."""
     from datetime import datetime
 
-    # parse both sides: manifests store str(datetime) with a SPACE
-    # separator while callers may pass ISO-8601 'T' — a lexicographic
-    # compare across the two formats silently skips same-day partitions
-    # (' ' < 'T')
+    # parse both sides: a lexicographic compare across ' ' and 'T'
+    # separators silently skips same-day partitions (' ' < 'T')
     bound = datetime.fromisoformat(late_min_ts)
-    out = set()
-    for m in load_manifests(root, stage):
-        if m.max_ts is not None and datetime.fromisoformat(m.max_ts) >= bound:
-            out.add(m.partition_key)
-    return out
+    return {
+        m.partition_key for m in silver_log(root)
+        if m.stage == "silver" and m.max_ts is not None
+        and datetime.fromisoformat(m.max_ts) >= bound
+    }
 
 
 def atomic_write_table(tbl, path: str) -> None:
@@ -154,26 +193,24 @@ def summarize(rows_out: list[int], walls: list, rows_rejected: int = 0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot isolation (time travel) over the manifest log
+# Snapshot isolation (time travel) over the silver log
 # ---------------------------------------------------------------------------
 
 
 class SnapshotUnavailableError(RuntimeError):
     """The requested snapshot's files were garbage-collected by a later
-    compaction/expire — the manifest log still describes the snapshot,
+    compaction/expire — the silver log still describes the snapshot,
     but its data no longer exists (same semantics as reading a Delta
     version past VACUUM's retention window)."""
 
 
-def list_snapshots(root: str, stage: str) -> list[dict]:
-    """Distinct commits of ``stage`` (+ its ``{stage}_compact`` rewrites)
-    in commit order — the valid ``as_of`` axis for ``snapshot_files``.
-    One entry per (run_id, stage) with its max commit_ts across
-    partitions (a run's partitions commit within one logical write)."""
+def list_snapshots(root: str) -> list[dict]:
+    """Distinct silver commits of the lake at ``root`` — runs and
+    compactions — in commit order: the valid ``as_of`` axis for
+    ``snapshot_files``. One entry per (run_id, stage) with its max
+    commit_ts across partitions."""
     runs: dict[tuple[str, str], float] = {}
-    for m in load_manifests(root):
-        if m.stage not in (stage, f"{stage}_compact"):
-            continue
+    for m in silver_log(root):
         k = (m.run_id, m.stage)
         runs[k] = max(runs.get(k, float("-inf")), m.commit_ts)
     return [
@@ -182,28 +219,25 @@ def list_snapshots(root: str, stage: str) -> list[dict]:
     ]
 
 
-def snapshot_files(root: str, stage: str, as_of: float) -> list[str]:
-    """The exact file set of ``stage`` as of wall-clock ``as_of``
-    (epoch seconds): per partition, the latest ``{stage}_compact``
-    rewrite committed at or before ``as_of`` supersedes everything
-    older, plus every ``stage`` run committed after that rewrite and at
-    or before ``as_of``. Raises :class:`SnapshotUnavailableError` if any
+def snapshot_files(root: str, as_of: float) -> list[str]:
+    """The exact silver file set of the lake at ``root`` as of wall-clock
+    ``as_of`` (epoch seconds): per partition, the latest
+    ``silver_compact`` rewrite committed at or before ``as_of``, plus
+    every run committed at or before ``as_of`` whose file no such
+    rewrite coalesced. Raises :class:`SnapshotUnavailableError` if any
     selected file was deleted by a LATER compaction/expire (the
     snapshot's history has been garbage-collected).
 
-    Scale shape: pure manifest-log work — O(#manifests) driver-side JSON,
+    Scale shape: pure log work — O(runs + compactions) driver-side JSON,
     no data files opened; the returned list feeds ``read_parquet``
     directly."""
-    compact_stage = f"{stage}_compact"
     compacts_by_part: dict[str, list[PartitionManifest]] = {}
     runs_by_part: dict[str, list[PartitionManifest]] = {}
-    for m in load_manifests(root):
+    for m in silver_log(root):
         if m.commit_ts > as_of:
             continue
-        if m.stage == compact_stage:
-            compacts_by_part.setdefault(m.partition_key, []).append(m)
-        elif m.stage == stage:
-            runs_by_part.setdefault(m.partition_key, []).append(m)
+        by_part = compacts_by_part if m.stage == "silver_compact" else runs_by_part
+        by_part.setdefault(m.partition_key, []).append(m)
     files: list[str] = []
     for part in sorted(set(runs_by_part) | set(compacts_by_part)):
         comps = compacts_by_part.get(part, [])
@@ -211,20 +245,11 @@ def snapshot_files(root: str, stage: str, as_of: float) -> list[str]:
         # actually read it — the union over ALL such compactions, so a
         # run coalesced by an EARLIER rewrite (whose own output a later
         # rewrite coalesced in turn) stays superseded through the chain
-        superseded: set[str] = set()
-        floor_legacy = float("-inf")  # pre-source_files manifests:
-        for c in comps:               # fall back to their commit_ts floor
-            src = c.extra.get("source_files")
-            if src is None:
-                floor_legacy = max(floor_legacy, c.commit_ts)
-            else:
-                superseded.update(src)
+        superseded = {f for c in comps for f in c.extra["source_files"]}
         if comps:
             latest = max(comps, key=lambda c: c.commit_ts)
             files.extend(latest.files)
         for m in runs_by_part.get(part, []):
-            if m.commit_ts <= floor_legacy:
-                continue
             files.extend(f for f in m.files if f not in superseded)
     missing = [f for f in files if not F.exists(f)]
     if missing:

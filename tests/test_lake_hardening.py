@@ -1,12 +1,14 @@
 """Lake-maintenance hardening: chained compactions keep snapshots
 readable, a crash at any stream commit point followed by a rerun of the
-same run_id gives the uninterrupted lake, retention survives
-recomputes, bootstrap never wipes live online rows, null-text rows are
+same run_id gives the uninterrupted lake, a run is in the silver log
+only once its run record is committed, retention survives recomputes,
+bootstrap never wipes live online rows, null-text and null-ts rows are
 counted as rejects, and empty inputs degrade gracefully."""
 
 import glob
 import json
 import os
+import time
 
 import numpy as np
 import pandas as pd
@@ -45,12 +47,21 @@ def _mklake(tmp_path, n_convs=40, seed=7):
     return str(bronze), out
 
 
+def write_run_record_at(root, run_id, commit_ts, records):
+    """A synthetic ``run-{run_id}.json`` committed at ``commit_ts``, with
+    one partition record per entry of ``records``."""
+    with open(os.path.join(root, f"run-{run_id}.json"), "w") as f:
+        json.dump({"run_id": run_id, "commit_ts": commit_ts,
+                   "partition_records": records}, f)
+
+
 def test_snapshot_survives_chained_compactions(tmp_path):
     """R1 -> compact C1 -> R2 -> compact C2: the latest snapshot must read
     C2's output only — R1's files were coalesced by C1 (itself coalesced
     by C2), so they stay superseded through the chain instead of being
     re-selected and raising SnapshotUnavailableError."""
-    root = str(tmp_path / "silver")
+    lake = str(tmp_path)
+    root = os.path.join(lake, "silver")
     part = os.path.join(root, "part=00000")
     os.makedirs(part)
 
@@ -60,9 +71,7 @@ def test_snapshot_survives_chained_compactions(tmp_path):
         return p
 
     r1 = mk("run-r1.parquet")
-    M.write_manifest(root, M.PartitionManifest(
-        stage="silver", partition_key="00000", run_id="r1", rows_out=1,
-        files=[r1], commit_ts=10.0))
+    write_run_record_at(lake, "r1", 10.0, [{"part": 0, "silver_rows_out": 1}])
     c1 = mk("run-compact-c1.parquet")
     M.write_manifest(root, M.PartitionManifest(
         stage="silver_compact", partition_key="00000", run_id="c1",
@@ -70,9 +79,7 @@ def test_snapshot_survives_chained_compactions(tmp_path):
         extra={"source_files": [r1]}))
     os.remove(r1)
     r2 = mk("run-r2.parquet")
-    M.write_manifest(root, M.PartitionManifest(
-        stage="silver", partition_key="00000", run_id="r2", rows_out=1,
-        files=[r2], commit_ts=30.0))
+    write_run_record_at(lake, "r2", 30.0, [{"part": 0, "silver_rows_out": 1}])
     c2 = mk("run-compact-c2.parquet")
     M.write_manifest(root, M.PartitionManifest(
         stage="silver_compact", partition_key="00000", run_id="c2",
@@ -81,31 +88,62 @@ def test_snapshot_survives_chained_compactions(tmp_path):
     os.remove(c1)
     os.remove(r2)
 
-    got = M.snapshot_files(root, "silver", as_of=100.0)
+    got = M.snapshot_files(lake, as_of=100.0)
     assert got == [c2]
     # the mid-chain snapshot's history (C1's output) was GC'd by C2's
     # cleanup — it must fail LOUDLY, not silently return wrong files
     with pytest.raises(M.SnapshotUnavailableError):
-        M.snapshot_files(root, "silver", as_of=25.0)
+        M.snapshot_files(lake, as_of=25.0)
 
 
 def test_null_text_counted_as_reject():
+    day = pd.Timestamp("2024-01-01")
     batch = pa.table(
         {
-            "conv_id": pa.array(["a", "b", "c"]),
-            "turn_idx": pa.array([0, 0, 0], pa.int32()),
-            "role": pa.array(["user"] * 3),
-            "text": pa.array(["ok", None, ""], pa.string()),
-            "tool": pa.array([None] * 3, pa.string()),
-            "ts": pa.array([pd.Timestamp("2024-01-01")] * 3),
-            "ingest_ts": pa.array([pd.Timestamp("2024-01-01")] * 3),
+            "conv_id": pa.array(["a", "b", "c", "d"]),
+            "turn_idx": pa.array([0, 0, 0, 0], pa.int32()),
+            "role": pa.array(["user"] * 4),
+            "text": pa.array(["ok", None, "", "ok"], pa.string()),
+            "tool": pa.array([None] * 4, pa.string()),
+            "ts": pa.array([day, day, day, None], pa.timestamp("us")),
+            "ingest_ts": pa.array([day] * 4, pa.timestamp("us")),
         }
     )
     t = normalize_bronze(batch, processed_at=PROCESSED_AT, tag_invalid=True)
     valid = np.asarray(t["__valid"].combine_chunks())
     assert not np.isnan(valid.astype(float)).any()
-    assert (valid == 0).sum() == 2  # null text AND empty text both reject
-    assert (valid == 1).sum() == 1
+    # null text, empty text AND null ts all reject
+    assert valid.tolist() == [1, 0, 0, 0]
+
+
+def test_null_ts_row_is_rejected_by_a_run(monkeypatch, tmp_path):
+    """A bronze row with a null ``ts`` is counted as a reject and never
+    reaches silver, so the partition's gold pass does not fail on it (it
+    used to be committed to silver, and every later run of its partition
+    then failed converting the null ``ts``)."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+        medallion,
+    )
+
+    tbl = generate_transcripts(n_convs=10, avg_turns=5, seed=31)
+    ts = tbl["ts"].combine_chunks().to_pylist()
+    ts[3] = None
+    tbl = tbl.set_column(tbl.schema.get_field_index("ts"), "ts",
+                         pa.array(ts, tbl.schema.field("ts").type))
+    bronze = tmp_path / "bronze"
+    bronze.mkdir()
+    pq.write_table(tbl, bronze / "bronze.parquet")
+    out = str(tmp_path / "lake")
+    # the one-task plan in this process
+    monkeypatch.setattr(medallion, "run_one_task", lambda fn, *a: fn(*a))
+    for rid in ("r1", "r2"):  # the rerun of the partition holds too
+        res = run_stream(str(bronze), out, run_id=rid, processed_at=PROCESSED_AT,
+                         num_parts=2)
+        assert res["silver"]["rows_rejected"] == 1
+    silver = pa.concat_tables([pq.read_table(f) for f in
+                               glob.glob(os.path.join(out, "silver", "part=*", "*.parquet"))])
+    assert silver["ts"].null_count == 0
+    assert silver.num_rows == 2 * (tbl.num_rows - 1)
 
 
 COMMIT_POINTS = ["silver", "gold_merge", "online", "state"]
@@ -164,7 +202,9 @@ def _crashed_run(monkeypatch, bronze, out, run_id, point):
         return wrapped
 
     if point == "silver":
-        monkeypatch.setattr(I.M, "write_manifest", after(I.M.write_manifest))
+        silver_root = os.path.join(out, "silver")
+        monkeypatch.setattr(I.M, "atomic_write_table", after(
+            I.M.atomic_write_table, lambda tbl, path: path.startswith(silver_root)))
     elif point == "gold_merge":
         monkeypatch.setattr(I, "write_gold_partition", after(I.write_gold_partition))
     elif point == "online":
@@ -253,6 +293,88 @@ def test_crash_at_commit_point_then_rerun_is_exact(ray_session, monkeypatch,
     _assert_crash_recovers(monkeypatch, tmp_path, point, plan)
 
 
+def _snapshot(out):
+    snap = read_silver_snapshot(out, time.time()).to_pandas()
+    return snap.sort_values(["conv_id", "turn_idx"], ignore_index=True)
+
+
+def test_run_record_is_the_silver_commit(ray_session, monkeypatch, tmp_path):
+    """A stream run writes no silver manifest: ``run-{id}.json`` is its
+    commit, stamped with ``commit_ts`` and holding each partition's silver
+    ts range. A run that crashes after some of its partitions committed,
+    before its run record, is in no snapshot and its silver files are
+    orphans; its rerun leaves the snapshot and the reconcile report of
+    an uncrashed lake."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+        incremental as I,
+        medallion,
+    )
+
+    monkeypatch.setattr(medallion, "run_one_task", lambda fn, *a: fn(*a))
+    b0, b1 = _two_windows(tmp_path)
+    ref, out = str(tmp_path / "ref"), str(tmp_path / "crashed")
+    for lake in (ref, out):
+        run_stream(b0, lake, run_id="r0", processed_at=PROCESSED_AT, num_parts=2)
+    before_r1 = time.time()
+    time.sleep(0.01)
+    res = run_stream(b1, ref, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+
+    assert not os.path.exists(os.path.join(ref, "silver", "_manifests"))
+    with open(os.path.join(ref, "run-r1.json")) as f:
+        assert json.load(f) == res
+    assert before_r1 < res["commit_ts"] <= time.time()
+    assert len(res["partition_records"]) == 2
+    for p in res["partition_records"]:
+        silver = pq.read_table(M.silver_file(os.path.join(ref, "silver"), p["part"], "r1"))
+        assert silver.num_rows == p["silver_rows_out"] > 0
+        assert p["min_ts"] == pc.min(silver["ts"]).as_py().isoformat()
+        assert p["max_ts"] == pc.max(silver["ts"]).as_py().isoformat()
+        assert p["max_ingest_ts"] == pc.max(silver["ingest_ts"]).as_py().isoformat()
+
+    # crash r1 at the second partition's state commit: the first
+    # partition committed every step, both wrote their silver file
+    commit, calls = I._commit_state, []
+
+    def crash_second(*a, **k):
+        calls.append(a)
+        if len(calls) == 2:
+            raise RuntimeError("crash")
+        return commit(*a, **k)
+
+    monkeypatch.setattr(I, "_commit_state", crash_second)
+    with pytest.raises(RuntimeError, match="crash"):
+        run_stream(b1, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    monkeypatch.setattr(I, "_commit_state", commit)
+    r1_silver = sorted(glob.glob(os.path.join(out, "silver", "part=*", "run-r1.parquet")))
+    assert len(r1_silver) == 2 and not os.path.exists(os.path.join(out, "run-r1.json"))
+    assert _snapshot(out).equals(
+        read_silver_snapshot(ref, before_r1).to_pandas()
+        .sort_values(["conv_id", "turn_idx"], ignore_index=True))
+    assert not set(r1_silver) & set(M.snapshot_files(out, time.time()))
+    rep = reconcile_lake(out)
+    assert not rep["ok"] and set(r1_silver) <= set(rep["orphan_files"])
+
+    run_stream(b1, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    assert _snapshot(out).equals(_snapshot(ref))
+    assert [s["run_id"] for s in M.list_snapshots(out)] == ["r0", "r1"]
+    rep, want = reconcile_lake(out), reconcile_lake(ref)
+    assert rep["ok"] and rep == want
+
+
+def test_online_meta_written_once(ray_session, tmp_path):
+    """``online/_meta.json`` is written when the lake's partitioning is
+    pinned, by its first run; a later run leaves the file alone."""
+    bronze, out = _mklake(tmp_path)
+    run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    meta = os.path.join(out, "online", "_meta.json")
+    with open(meta) as f:
+        assert json.load(f) == {"num_parts": 2, "key": "conv_id"}
+    first = os.stat(meta)
+    run_stream(bronze, out, run_id="r2", processed_at=PROCESSED_AT, num_parts=2)
+    again = os.stat(meta)
+    assert (again.st_ino, again.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+
+
 def test_retention_survives_recompute(ray_session, tmp_path):
     bronze, out = _mklake(tmp_path)
     run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT,
@@ -291,13 +413,14 @@ def test_read_online_empty_lake_returns_typed_empty(tmp_path):
 
 
 def test_backfill_targets_accepts_T_separator(tmp_path):
-    root = str(tmp_path / "silver")
-    os.makedirs(root)
-    M.write_manifest(root, M.PartitionManifest(
-        stage="silver", partition_key="00001", run_id="r1", rows_out=1,
-        max_ts="2026-01-02 23:59:59"))
-    assert M.backfill_targets(root, "silver", "2026-01-02T00:00:00") == {"00001"}
-    assert M.backfill_targets(root, "silver", "2026-01-03T00:00:00") == set()
+    root = str(tmp_path)
+    write_run_record_at(root, "r1", 10.0, [
+        {"part": 1, "silver_rows_out": 1, "max_ts": "2026-01-02 23:59:59"},
+        {"part": 2, "silver_rows_out": 1, "max_ts": "2026-01-01T23:59:59"},
+    ])
+    assert M.backfill_targets(root, "2026-01-02T00:00:00") == {"00001"}
+    assert M.backfill_targets(root, "2026-01-02 00:00:00") == {"00001"}
+    assert M.backfill_targets(root, "2026-01-03T00:00:00") == set()
 
 
 def test_manifest_json_is_asdict_json(tmp_path):
@@ -314,8 +437,9 @@ def test_manifest_json_is_asdict_json(tmp_path):
     )
     M.write_manifest(root, m)
     with open(M.manifest_path(root, "gold", "00003", "r7")) as f:
-        assert f.read() == json.dumps(dataclasses.asdict(m))
-    assert M.read_manifest(root, "gold", "00003", "r7") == m
+        text = f.read()
+    assert text == json.dumps(dataclasses.asdict(m))
+    assert M.PartitionManifest(**json.loads(text)) == m
 
 
 def test_run_daily_empty_dt_range(ray_session, tmp_path):

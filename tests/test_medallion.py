@@ -232,25 +232,19 @@ def test_backfill_targets(ray_session, bronze_dir, tmp_path):
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
         manifest as M,
     )
-    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
-        RUN_STAGE_SILVER,
-    )
 
     out = str(tmp_path / "lake")
-    run_stream(bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=8)
-    silver_root = os.path.join(out, "silver")
-    ms = M.load_manifests(silver_root, RUN_STAGE_SILVER)
-    assert len(ms) == 8
+    res = run_stream(bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=8)
+    max_ts = {f"{p['part']:05d}": p["max_ts"] for p in res["partition_records"]}
+    assert len(max_ts) == 8
     # a late window before every partition's max_ts touches all of them;
     # one after the global max touches none
-    all_parts = M.backfill_targets(silver_root, RUN_STAGE_SILVER, "2000-01-01")
-    assert all_parts == {m.partition_key for m in ms}
-    assert M.backfill_targets(silver_root, RUN_STAGE_SILVER, "2999-01-01") == set()
-    # a mid-range cut selects exactly the manifests whose max_ts reaches it
-    cut = sorted(m.max_ts for m in ms)[4]
-    got = M.backfill_targets(silver_root, RUN_STAGE_SILVER, cut)
-    exp = {m.partition_key for m in ms if m.max_ts >= cut}
-    assert got == exp and 0 < len(got) <= 8
+    assert M.backfill_targets(out, "2000-01-01") == set(max_ts)
+    assert M.backfill_targets(out, "2999-01-01") == set()
+    # a mid-range cut selects exactly the partitions whose max_ts reaches it
+    cut = sorted(max_ts.values())[4]
+    got = M.backfill_targets(out, cut)
+    assert got == {k for k, v in max_ts.items() if v >= cut} and 0 < len(got) <= 8
 
 
 def test_daily_dt_fragment_pruning(ray_session, bronze_dir, tmp_path):
@@ -465,7 +459,7 @@ def test_reconcile_lake_multi_run(ray_session, bronze_dir, tmp_path):
 
 def test_run_keeps_one_record_per_partition(ray_session, bronze_dir, tmp_path,
                                             monkeypatch):
-    """A stream run writes no gold manifest and opens no manifest: each
+    """A stream run writes and opens no manifest: each
     partition's record lives in its ``state.arrow`` metadata and comes
     back as the step's metrics row, and ``run-{id}.json`` lists one entry
     per partition."""
@@ -484,13 +478,14 @@ def test_run_keeps_one_record_per_partition(ray_session, bronze_dir, tmp_path,
 
     # the one-task plan in this process, so the spies see the steps too
     monkeypatch.setattr(medallion, "run_one_task", lambda fn, *a: fn(*a))
-    monkeypatch.setattr(M, "read_manifest", spy("read_manifest"))
     monkeypatch.setattr(M, "load_manifests", spy("load_manifests"))
+    monkeypatch.setattr(M, "write_manifest", spy("write_manifest"))
     out = str(tmp_path / "lake")
     res = run_stream(bronze_dir, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=4)
     monkeypatch.undo()
 
-    assert not os.path.exists(os.path.join(out, "gold", "_manifests"))
+    for layer in ("silver", "gold"):
+        assert not os.path.exists(os.path.join(out, layer, "_manifests"))
     with open(os.path.join(out, "run-r1.json")) as f:
         assert json.load(f) == res
     parts = res["partition_records"]
@@ -499,7 +494,7 @@ def test_run_keeps_one_record_per_partition(ray_session, bronze_dir, tmp_path,
         _, state = I._read_state(os.path.join(out, "state", f"part={p['part']:05d}"))
         assert state["run_id"] == "r1"
         assert state["record"] == {k: v for k, v in p.items() if k in state["record"]}
-        assert set(state["record"]) == set(I._COUNTS) | {"gold_mode"}
+        assert set(state["record"]) == set(I._COUNTS) | set(I._TS_RANGE) | {"gold_mode"}
         assert p["gold_rows_out"] == sum(state["gold"].values())
         assert p["silver_wall_s"] > 0 and p["gold_wall_s"] > 0
     assert sum(p["gold_rows_out"] for p in parts) == res["gold"]["rows_out"] > 0

@@ -1,4 +1,5 @@
-"""Snapshot isolation (time travel) over the manifest log: reading the
+"""Snapshot isolation (time travel) over the silver log (run records and
+compaction manifests): reading the
 silver layer as of a past commit returns exactly the file set that
 existed then; compaction garbage-collects history and turns older
 snapshots into a clear SnapshotUnavailableError while the latest
@@ -107,8 +108,7 @@ def test_snapshot_latest_is_full_deduped_silver(ray_session, lake):
 
 def test_snapshot_log_and_gc(ray_session, lake_gc):
     out, t_mid = lake_gc
-    silver_root = os.path.join(out, "silver")
-    snaps = list_snapshots(silver_root, "silver")
+    snaps = list_snapshots(out)
     assert [s["run_id"] for s in snaps] == ["w1", "w2"]
     assert snaps[0]["commit_ts"] < t_mid < snaps[1]["commit_ts"]
 
@@ -120,7 +120,7 @@ def test_snapshot_log_and_gc(ray_session, lake_gc):
     latest_after = _norm(read_silver_snapshot(out, time.time()).to_pandas())
     assert latest_after.equals(latest_before)
     # the compaction shows up on the snapshot log
-    snaps2 = list_snapshots(silver_root, "silver")
+    snaps2 = list_snapshots(out)
     assert [s["run_id"] for s in snaps2] == ["w1", "w2", "c1"]
     assert snaps2[-1]["stage"] == "silver_compact"
 
@@ -195,16 +195,18 @@ def _norm_gold(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def test_snapshot_keeps_run_committed_during_compaction(tmp_path):
-    """A run whose manifest commit_ts <= the compact's commit_ts but whose
+    """A run whose record's commit_ts <= the compact's commit_ts but whose
     files the rewrite never read (it landed while compaction was in
     flight) must stay in every later snapshot — commit_ts alone must not
     supersede it."""
     import pyarrow.parquet as pq
+    from test_lake_hardening import write_run_record_at
 
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
         manifest as M,
     )
 
+    lake = str(tmp_path)
     root = str(tmp_path / "silver")
     part = str(tmp_path / "silver" / "part=00000")
     os.makedirs(part)
@@ -215,24 +217,21 @@ def test_snapshot_keeps_run_committed_during_compaction(tmp_path):
         pq.write_table(pa.table({"x": [1]}), p)
         paths[name] = p
 
-    def man(stage, rid, files, ts):
-        M.write_manifest(root, M.PartitionManifest(
-            stage="silver" if stage == "run" else "silver_compact",
-            partition_key="00000", run_id=rid, rows_out=1, files=files,
-            commit_ts=ts,
-            extra={"source_files": [paths["run-a.parquet"],
-                                    paths["run-b.parquet"]]}
-            if stage == "compact" else {},
-        ))
+    def run(rid, ts):
+        write_run_record_at(lake, rid, ts, [{"part": 0, "silver_rows_out": 1}])
 
-    man("run", "a", [paths["run-a.parquet"]], 10.0)
-    man("run", "b", [paths["run-b.parquet"]], 20.0)
+    run("a", 10.0)
+    run("b", 20.0)
     # run c commits at t=29 while the compaction (which only read a+b)
     # commits at t=30
-    man("run", "c", [paths["run-c.parquet"]], 29.0)
-    man("compact", "z", [paths["run-compact-z.parquet"]], 30.0)
+    run("c", 29.0)
+    M.write_manifest(root, M.PartitionManifest(
+        stage="silver_compact", partition_key="00000", run_id="z", rows_out=1,
+        files=[paths["run-compact-z.parquet"]], commit_ts=30.0,
+        extra={"source_files": [paths["run-a.parquet"], paths["run-b.parquet"]]},
+    ))
 
-    got = M.snapshot_files(root, "silver", as_of=100.0)
+    got = M.snapshot_files(lake, as_of=100.0)
     assert paths["run-compact-z.parquet"] in got
     assert paths["run-c.parquet"] in got, "concurrent run dropped"
     assert paths["run-a.parquet"] not in got
