@@ -93,19 +93,18 @@ VALID_COL = "__valid"
 
 
 def normalize_bronze(batch: pa.Table, *, processed_at: str,
-                     window: tuple | None = None,
-                     tag_invalid: bool = False) -> pa.Table:
+                     window: tuple | None = None) -> pa.Table:
     """M1 ingest-window filter + M2 validity + M3 domain predicate + M12
     canonical casts + M4 audit column (explicit run timestamp for
     determinism vs the reference's utcnow(), silver_and_gold.py:67).
 
-    With ``tag_invalid`` the validity failures are kept and tagged in
-    ``__valid`` instead of silently dropped, so the partition task can
+    Validity failures are kept and tagged in ``__valid`` (int8, 0/1)
+    instead of silently dropped, so the partition task can
     count them into its run record — the S8 put-error accounting channel
     (reference ingest_features.py:63-98 tallies per-batch failures; here
     rejects are durable per-partition metrics, and 'retry' is the
     idempotent resume of the atomic writes and the state commit). Window
-    misses are dropped either way: they are not errors, just out-of-slice.
+    misses are dropped: they are not errors, just out-of-slice.
     A valid row has a ``conv_id``, a ``turn_idx``, a ``ts`` and non-empty
     text."""
     t = batch
@@ -120,10 +119,7 @@ def normalize_bronze(batch: pa.Table, *, processed_at: str,
     for c in ("conv_id", "turn_idx", "ts"):
         mask = pc.and_(mask, pc.is_valid(t[c]))
     mask = pc.fill_null(mask, False)
-    if tag_invalid:
-        t = t.append_column(VALID_COL, pc.cast(mask, pa.int8()))
-    else:
-        t = t.filter(mask)
+    t = t.append_column(VALID_COL, pc.cast(mask, pa.int8()))
     t = t.append_column("processed_at", pa.array([processed_at] * t.num_rows))
     return t
 
@@ -218,7 +214,7 @@ def run_one_task(fn, *args):
 def _prepare_bronze(t: pa.Table, *, processed_at, window, num_parts) -> pa.Table:
     """The stateless steps both plans apply to bronze before the keyed
     split: window + validity tagging, then the hash-partition column."""
-    t = normalize_bronze(t, processed_at=processed_at, window=window, tag_invalid=True)
+    t = normalize_bronze(t, processed_at=processed_at, window=window)
     return add_partition_col(t, "conv_id", num_parts)
 
 
@@ -534,10 +530,12 @@ def compact_silver(
     result, and re-running compaction converges. Compaction itself
     applies the same dedup rule, so the operation is idempotent.
 
-    Each partition's rewrite is logged as a ``silver_compact`` manifest
-    (written before the source deletes) naming the files it coalesced;
-    in the silver log (``manifest.silver_log``) it supersedes the run
-    records' appends of those files.
+    A rewrite reads the files the silver log (``manifest.silver_log``)
+    names, so an uncommitted run's silver stays out of every snapshot,
+    plus any unlogged ``run-compact-*`` output of a crashed compaction
+    (committed rows only). It is logged as a ``silver_compact`` manifest
+    (written before the source deletes) naming the files it coalesced,
+    which supersedes their appends (``manifest.live_silver``).
 
     One Ray task per partition directory (filesystem-level work the
     Dataset API can't express); only O(partitions) summary rows return
@@ -548,6 +546,7 @@ def compact_silver(
     silver_root = F.join(out_root, "silver")
     rid = run_id or uuid_hex()
     part_dirs = sorted(F.glob(F.join(silver_root, "part=*")))
+    logged = {F.canon(f) for m in M.silver_log(out_root) for f in m.files}
 
     @ray.remote
     def compact_one(part_dir: str) -> dict:
@@ -555,7 +554,10 @@ def compact_silver(
 
         t0 = _time.perf_counter()
         key = F.basename(part_dir)[5:]
-        files = sorted(F.glob(F.join(part_dir, "run-*.parquet")))
+        files = sorted(
+            f for f in F.glob(F.join(part_dir, "run-*.parquet"))
+            if F.canon(f) in logged or F.basename(f).startswith("run-compact-")
+        )
         if len(files) < min_files:
             return {"part": key, "files_in": len(files), "skipped": True}
         tbl = pa.concat_tables(
@@ -634,16 +636,15 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
 
     Multi-run semantics: silver is append-per-run, and each committed run
     record claims its partitions' silver files (``manifest.silver_file``)
-    with ``silver_rows_out`` rows. A record stays live UNLESS a
-    ``compact_silver`` committed after it absorbed the partition's run
-    files: then the newest ``silver_compact`` manifest describes the
-    current bytes, and older appends and compactions of that partition
-    are superseded (skipped for parity; their still-existing files remain
-    claimed so a compaction crash window never reports orphans). Gold is
-    merged in place per partition, and the partition's ``state.arrow``
-    (committed last by each run) records the rows of each of its ``dt=``
-    files: it claims ``gold/part=K/dt=D/data.parquet`` for each recorded
-    ``D``. ``run_id`` narrows missing/row checks to that run's record and
+    with ``silver_rows_out`` rows. Only live commits
+    (``manifest.live_silver``) are parity-checked: an append is live
+    unless a ``silver_compact`` rewrite coalesced its file, a rewrite is
+    live if it is its partition's newest. Superseded commits' still
+    existing files remain claimed, so a compaction crash window never
+    reports orphans. Gold is merged in place per partition, and the
+    partition's ``state.arrow`` (committed last by each run) records the
+    rows of each of its ``dt=`` files: it claims
+    ``gold/part=K/dt=D/data.parquet`` for each recorded ``D``. ``run_id`` narrows missing/row checks to that run's record and
     to the partitions whose state names the run; the orphan scan always
     considers every claim. ``manifests_checked`` counts the silver
     commits and gold records checked."""
@@ -669,28 +670,15 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
         return None
 
     # EVERY silver commit claims its files (so older runs' appends are
-    # never "orphans"), but only live ones are parity-checked: a
-    # compaction supersedes the partition's older commits
+    # never "orphans"), but only live ones are parity-checked
     silver = M.silver_log(out_root)
-    latest_compact: dict[str, float] = {}
     for m in silver:
         claimed.update(F.canon(f) for f in m.files if F.exists(f))
-        if m.stage == "silver_compact":
-            latest_compact[m.partition_key] = max(
-                latest_compact.get(m.partition_key, float("-inf")), m.commit_ts
-            )
-
-    def _live(m: M.PartitionManifest) -> bool:
-        newest = latest_compact.get(m.partition_key, float("-inf"))
-        if m.stage == "silver_compact":
-            return m.commit_ts >= newest
-        return newest < m.commit_ts  # an append no compaction absorbed yet
-
     # (stage, partition, files, recorded rows) to check
     checks = [
         (m.stage, m.partition_key, m.files, m.rows_out)
-        for m in silver
-        if (run_id is None or m.run_id == run_id) and _live(m)
+        for m in M.live_silver(silver)
+        if run_id is None or m.run_id == run_id
     ]
     for d in sorted(F.glob(F.join(out_root, "state", "part=*"))):
         state = _read_state(d)[1]

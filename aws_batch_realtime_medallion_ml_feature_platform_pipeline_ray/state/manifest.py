@@ -11,14 +11,15 @@ summaries, one record per partition (silver rows in/out/rejected,
 (:func:`silver_file`), so the record names it without listing it. The
 run records and the ``silver_compact`` manifests that ``compact_silver``
 writes are the silver log (:func:`silver_log`): snapshots
-(``list_snapshots`` / ``snapshot_files``) and ``reconcile_lake`` read it,
-and a run's silver becomes visible to a snapshot all at once, at its
-commit. ``backfill_targets`` reads ``max_ts`` from the run records. Gold
-expiry writes ``expire`` manifests. Resume reads none of them: a stream
-partition whose ``state/part=*/state.arrow`` names the run is done
-(pipelines/incremental.py), which fixes the reference's
-append-duplication hazard (``silver_and_gold.py:75`` — rerunning a
-window appends duplicate rows).
+(``list_snapshots`` / ``snapshot_files``) and ``reconcile_lake`` read it
+and share one supersession rule (:func:`live_silver`). A run's silver
+becomes visible to a snapshot all at once, at its commit; a rerun of a
+committed run keeps that commit. ``backfill_targets`` reads ``max_ts``
+from the run records. Gold expiry writes ``expire`` manifests. Resume
+reads none of them: a stream partition whose ``state/part=*/state.arrow``
+names the run is done (pipelines/incremental.py), which fixes the
+reference's append-duplication hazard (``silver_and_gold.py:75`` —
+rerunning a window appends duplicate rows).
 """
 
 from __future__ import annotations
@@ -90,11 +91,17 @@ def silver_file(silver_root: str, part: int, run_id: str) -> str:
 
 
 def write_run_record(root: str, record: dict) -> dict:
-    """Commit a stream run: stamp ``commit_ts`` (epoch seconds) into
-    ``record``, write ``run-{run_id}.json`` atomically, return it."""
-    record = dict(record, commit_ts=time.time())
-    F.write_text_atomic(F.join(root, f"run-{record['run_id']}.json"),
-                        json.dumps(record, indent=1))
+    """Commit a stream run: write ``run-{run_id}.json`` atomically with a
+    ``commit_ts`` (epoch seconds) and return it. A rerun of a committed
+    run keeps the first commit's ``commit_ts``, so the run stays where it
+    was on the snapshot time axis."""
+    path = F.join(root, f"run-{record['run_id']}.json")
+    commit_ts = time.time()
+    if F.exists(path):
+        with F.open_(path) as f:
+            commit_ts = json.load(f).get("commit_ts", commit_ts)
+    record = dict(record, commit_ts=commit_ts)
+    F.write_text_atomic(path, json.dumps(record, indent=1))
     return record
 
 
@@ -111,7 +118,8 @@ def load_run_records(root: str) -> list[dict]:
 def silver_log(root: str) -> list[PartitionManifest]:
     """The silver commits of the lake at ``root``, as manifests: each
     run's append per partition (stage ``silver``, from its run record)
-    and every ``silver_compact`` rewrite."""
+    and every ``silver_compact`` rewrite. Rewrites of older lakes, logged
+    without ``source_files``, are skipped like their run appends."""
     silver_root = F.join(root, "silver")
     appends = [
         PartitionManifest(
@@ -122,7 +130,28 @@ def silver_log(root: str) -> list[PartitionManifest]:
         )
         for r in load_run_records(root) for p in r["partition_records"]
     ]
-    return appends + load_manifests(silver_root, "silver_compact")
+    return appends + [m for m in load_manifests(silver_root, "silver_compact")
+                      if "source_files" in m.extra]
+
+
+def live_silver(log: list[PartitionManifest]) -> list[PartitionManifest]:
+    """The entries of ``log`` (a silver log, or its commits up to some
+    ``as_of``) that describe current bytes: per partition, the newest
+    ``silver_compact`` rewrite, and each run append whose file no rewrite
+    in ``log`` coalesced — so superseded through a chain of rewrites, and
+    live if it committed while a rewrite was in flight."""
+    superseded = {F.canon(f) for m in log if m.stage == "silver_compact"
+                  for f in m.extra["source_files"]}
+    newest: dict[str, PartitionManifest] = {}
+    for m in log:
+        cur = newest.get(m.partition_key)
+        if m.stage == "silver_compact" and (cur is None or m.commit_ts > cur.commit_ts):
+            newest[m.partition_key] = m
+    return [
+        m for m in log
+        if (newest[m.partition_key] is m if m.stage == "silver_compact"
+            else all(F.canon(f) not in superseded for f in m.files))
+    ]
 
 
 def backfill_targets(root: str, late_min_ts: str) -> set[str]:
@@ -221,40 +250,21 @@ def list_snapshots(root: str) -> list[dict]:
 
 def snapshot_files(root: str, as_of: float) -> list[str]:
     """The exact silver file set of the lake at ``root`` as of wall-clock
-    ``as_of`` (epoch seconds): per partition, the latest
-    ``silver_compact`` rewrite committed at or before ``as_of``, plus
-    every run committed at or before ``as_of`` whose file no such
-    rewrite coalesced. Raises :class:`SnapshotUnavailableError` if any
-    selected file was deleted by a LATER compaction/expire (the
-    snapshot's history has been garbage-collected).
+    ``as_of`` (epoch seconds): the files of the silver log's commits at or
+    before ``as_of`` that are live among them (:func:`live_silver`).
+    Raises :class:`SnapshotUnavailableError` if any selected file was
+    deleted by a LATER compaction/expire (the snapshot's history has been
+    garbage-collected).
 
     Scale shape: pure log work — O(runs + compactions) driver-side JSON,
     no data files opened; the returned list feeds ``read_parquet``
     directly."""
-    compacts_by_part: dict[str, list[PartitionManifest]] = {}
-    runs_by_part: dict[str, list[PartitionManifest]] = {}
-    for m in silver_log(root):
-        if m.commit_ts > as_of:
-            continue
-        by_part = compacts_by_part if m.stage == "silver_compact" else runs_by_part
-        by_part.setdefault(m.partition_key, []).append(m)
-    files: list[str] = []
-    for part in sorted(set(runs_by_part) | set(compacts_by_part)):
-        comps = compacts_by_part.get(part, [])
-        # a file is superseded iff SOME compaction at/before as_of
-        # actually read it — the union over ALL such compactions, so a
-        # run coalesced by an EARLIER rewrite (whose own output a later
-        # rewrite coalesced in turn) stays superseded through the chain
-        superseded = {f for c in comps for f in c.extra["source_files"]}
-        if comps:
-            latest = max(comps, key=lambda c: c.commit_ts)
-            files.extend(latest.files)
-        for m in runs_by_part.get(part, []):
-            files.extend(f for f in m.files if f not in superseded)
+    live = live_silver([m for m in silver_log(root) if m.commit_ts <= as_of])
+    files = sorted({f for m in live for f in m.files})
     missing = [f for f in files if not F.exists(f)]
     if missing:
         raise SnapshotUnavailableError(
             f"snapshot as_of={as_of} needs {len(missing)} file(s) removed "
             f"by a later compaction/expire, e.g. {missing[0]}"
         )
-    return sorted(set(files))
+    return files

@@ -109,7 +109,7 @@ def test_null_text_counted_as_reject():
             "ingest_ts": pa.array([day] * 4, pa.timestamp("us")),
         }
     )
-    t = normalize_bronze(batch, processed_at=PROCESSED_AT, tag_invalid=True)
+    t = normalize_bronze(batch, processed_at=PROCESSED_AT)
     valid = np.asarray(t["__valid"].combine_chunks())
     assert not np.isnan(valid.astype(float)).any()
     # null text, empty text AND null ts all reject
@@ -214,7 +214,7 @@ def _crashed_run(monkeypatch, bronze, out, run_id, point):
             raise Crash(point)
         monkeypatch.setattr(I, "_commit_state", no_swap)
 
-    t = normalize_bronze(pq.read_table(bronze), processed_at=PROCESSED_AT, tag_invalid=True)
+    t = normalize_bronze(pq.read_table(bronze), processed_at=PROCESSED_AT)
     t = add_partition_col(t, "conv_id", 2)
     crashed = 0
     for p in np.unique(np.asarray(t[PART_COL])):
@@ -298,6 +298,32 @@ def _snapshot(out):
     return snap.sort_values(["conv_id", "turn_idx"], ignore_index=True)
 
 
+def _crash_before_run_record(monkeypatch, bronze, out):
+    """Run r1 over ``bronze`` in-process and crash it at the second
+    partition's state commit: the first partition committed every step,
+    both wrote their silver file, no run record exists. Returns r1's
+    silver files."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+        incremental as I,
+    )
+
+    commit, calls = I._commit_state, []
+
+    def crash_second(*a, **k):
+        calls.append(a)
+        if len(calls) == 2:
+            raise RuntimeError("crash")
+        return commit(*a, **k)
+
+    monkeypatch.setattr(I, "_commit_state", crash_second)
+    with pytest.raises(RuntimeError, match="crash"):
+        run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    monkeypatch.setattr(I, "_commit_state", commit)
+    r1_silver = sorted(glob.glob(os.path.join(out, "silver", "part=*", "run-r1.parquet")))
+    assert len(r1_silver) == 2 and not os.path.exists(os.path.join(out, "run-r1.json"))
+    return r1_silver
+
+
 def test_run_record_is_the_silver_commit(ray_session, monkeypatch, tmp_path):
     """A stream run writes no silver manifest: ``run-{id}.json`` is its
     commit, stamped with ``commit_ts`` and holding each partition's silver
@@ -306,7 +332,6 @@ def test_run_record_is_the_silver_commit(ray_session, monkeypatch, tmp_path):
     orphans; its rerun leaves the snapshot and the reconcile report of
     an uncrashed lake."""
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
-        incremental as I,
         medallion,
     )
 
@@ -331,22 +356,7 @@ def test_run_record_is_the_silver_commit(ray_session, monkeypatch, tmp_path):
         assert p["max_ts"] == pc.max(silver["ts"]).as_py().isoformat()
         assert p["max_ingest_ts"] == pc.max(silver["ingest_ts"]).as_py().isoformat()
 
-    # crash r1 at the second partition's state commit: the first
-    # partition committed every step, both wrote their silver file
-    commit, calls = I._commit_state, []
-
-    def crash_second(*a, **k):
-        calls.append(a)
-        if len(calls) == 2:
-            raise RuntimeError("crash")
-        return commit(*a, **k)
-
-    monkeypatch.setattr(I, "_commit_state", crash_second)
-    with pytest.raises(RuntimeError, match="crash"):
-        run_stream(b1, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
-    monkeypatch.setattr(I, "_commit_state", commit)
-    r1_silver = sorted(glob.glob(os.path.join(out, "silver", "part=*", "run-r1.parquet")))
-    assert len(r1_silver) == 2 and not os.path.exists(os.path.join(out, "run-r1.json"))
+    r1_silver = _crash_before_run_record(monkeypatch, b1, out)
     assert _snapshot(out).equals(
         read_silver_snapshot(ref, before_r1).to_pandas()
         .sort_values(["conv_id", "turn_idx"], ignore_index=True))
@@ -359,6 +369,60 @@ def test_run_record_is_the_silver_commit(ray_session, monkeypatch, tmp_path):
     assert [s["run_id"] for s in M.list_snapshots(out)] == ["r0", "r1"]
     rep, want = reconcile_lake(out), reconcile_lake(ref)
     assert rep["ok"] and rep == want
+
+
+def test_rerun_keeps_the_first_commit(ray_session, tmp_path):
+    """Rerunning a committed run keeps its ``commit_ts``: a snapshot taken
+    between the commit and the rerun still reads the run, and after a
+    compaction the rerun's record stays superseded by it."""
+    bronze, out = _mklake(tmp_path)
+    run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    with open(os.path.join(out, "run-r1.json")) as f:
+        first = json.load(f)["commit_ts"]
+    between = time.time()
+    want = _snapshot(out)
+    assert len(want) > 0
+    time.sleep(0.01)
+    assert run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT,
+                      num_parts=2)["commit_ts"] == first
+    assert read_silver_snapshot(out, between).to_pandas().sort_values(
+        ["conv_id", "turn_idx"], ignore_index=True).equals(want)
+
+    compact_silver(out, run_id="c1", min_files=1)
+    res = run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    assert res["commit_ts"] == first
+    assert _snapshot(out).equals(want)
+    rep = reconcile_lake(out)
+    assert rep["ok"], rep
+
+
+def test_compaction_skips_an_uncommitted_run(ray_session, monkeypatch, tmp_path):
+    """A compaction between a crash and its rerun coalesces only committed
+    silver: the crashed run stays out of every snapshot, and after the
+    rerun the lake reads and reconciles like an uncrashed one."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+        medallion,
+    )
+
+    monkeypatch.setattr(medallion, "run_one_task", lambda fn, *a: fn(*a))
+    b0, b1 = _two_windows(tmp_path)
+    ref, out = str(tmp_path / "ref"), str(tmp_path / "crashed")
+    for lake in (ref, out):
+        run_stream(b0, lake, run_id="r0", processed_at=PROCESSED_AT, num_parts=2)
+    r0_snapshot = _snapshot(out)
+    run_stream(b1, ref, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+
+    r1_silver = _crash_before_run_record(monkeypatch, b1, out)
+    monkeypatch.undo()
+    assert compact_silver(out, run_id="c1", min_files=1)["compacted"] == 2
+    assert all(os.path.exists(f) for f in r1_silver)
+    assert _snapshot(out).equals(r0_snapshot)
+
+    monkeypatch.setattr(medallion, "run_one_task", lambda fn, *a: fn(*a))
+    run_stream(b1, out, run_id="r1", processed_at=PROCESSED_AT, num_parts=2)
+    assert _snapshot(out).equals(_snapshot(ref))
+    rep = reconcile_lake(out)
+    assert rep["ok"], rep
 
 
 def test_online_meta_written_once(ray_session, tmp_path):
