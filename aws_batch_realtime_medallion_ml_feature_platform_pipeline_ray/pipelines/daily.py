@@ -10,7 +10,7 @@ with overwrite semantics (build_datasets.py:68) + a metadata manifest
 with counts (A1/S6). The recent-dt list comes from directory names.
 
 The size of the gold it reads picks the plan, by the rule ``run_stream``
-uses. Gold of one block (``sources.reads.num_blocks_for`` == 1, at most
+uses. Gold of one block (``sources.reads.one_block``, at most
 ``SMALL_BLOCK`` = 4 MiB on disk) — a daily build's usually is — is built
 in ONE Ray task with no Ray Data: each needed gold file is read once, the
 kernels run on the concatenated table, and each dataset is written as one
@@ -30,11 +30,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .medallion import gold_dt_fragments, run_one_task
+from .medallion import gold_dt_fragments
 from ..state import fsio as F
 from ..state import manifest as M
 from .queries_relational import split_bucket_str
-from ..sources.reads import num_blocks_for, parquet_files, read_parquet_sized
+from ..sources.reads import one_block, parquet_files, read_parquet_sized
+from ..stages.keyed import run_one_task
 
 LABEL_THRESHOLD = 1000  # is_long := len(text) > 1000 (reference: amount > 1000)
 TRAIN_PCT = 80
@@ -182,7 +183,7 @@ def run_daily(
         recent = all_dts[-inference_days:]
         inf_files, _ = gold_dt_fragments(gold_dir, recent[0], recent[-1])
         input_bytes = sum(size for _, size in parquet_files(sorted({*files, *inf_files})))
-        if num_blocks_for(input_bytes) == 1:
+        if one_block(input_bytes):
             plan = "one_task"
             counts = run_one_task(_build_one_task, files, inf_files, datasets_root)
         else:

@@ -20,7 +20,7 @@ SURVEY.md §3.1) as:
    the silver log's entry for the run (``state/manifest.py``).
 
 The input's size on disk picks how steps 1-4 run. An input the sized
-read would make one block (``sources.reads.num_blocks_for`` == 1, at most
+read would make one block (``sources.reads.one_block``, at most
 ``SMALL_BLOCK`` = 4 MiB) — a scheduled window usually is — runs in ONE
 Ray task: read, prepare, split by hash partition locally
 (``stages.keyed.split_by_partition``) and call step 4 on each non-empty
@@ -53,7 +53,6 @@ outputs.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 
 from ..state import fsio as F
@@ -71,9 +70,9 @@ from ..stages.featurize import (
     gold_features_partition,
     gold_schema,
 )
-from ..stages.keyed import PART_COL, add_partition_col, split_by_partition
+from ..stages.keyed import PART_COL, add_partition_col, run_one_task, split_by_partition
 from ..state import manifest as M
-from ..sources.reads import num_blocks_for, parquet_files, read_parquet_sized
+from ..sources.reads import one_block, parquet_files, read_parquet_sized
 
 KEY = ["conv_id", "turn_idx"]
 
@@ -168,7 +167,7 @@ def run_stream(
 
     files = parquet_files(bronze_path)
     input_bytes = sum(size for _, size in files)
-    if files and num_blocks_for(input_bytes) == 1:
+    if files and one_block(input_bytes):
         plan = "one_task"
         rows = run_one_task(_run_partitions_one_task, [f for f, _ in files], prep, step)
     else:
@@ -192,23 +191,6 @@ def run_stream(
         late_convs=sum(col("late_convs")),
         partition_records=parts,
     ))
-
-
-@functools.cache
-def _remote(fn):
-    import ray
-
-    return ray.remote(fn)
-
-
-def run_one_task(fn, *args):
-    """``fn(*args)`` as one Ray task; the one-block plans (``run_stream``,
-    ``daily.run_daily``) run through here. Each function is wrapped once
-    per process: Ray pickles and exports a wrapped function on its first
-    call in each session, not on every call."""
-    import ray
-
-    return ray.get(_remote(fn).remote(*args))
 
 
 def _prepare_bronze(t: pa.Table, *, processed_at, window, num_parts) -> pa.Table:
@@ -466,26 +448,33 @@ def expire_gold_partitions(out_root: str, *, keep_from_dt: str) -> dict:
     footers for row counts — no data bytes); idempotent (re-running after
     a partial delete converges); an ``expire`` manifest records every
     removed fragment (dt, rows, file) so lineage stays auditable after
-    the bytes are gone."""
+    the bytes are gone.
+
+    A file whose footer is torn (a half-written leftover) counts 0 rows
+    and is expired with its fragment. Any other read error (an OS or
+    permission error) propagates before anything is deleted."""
 
     gold_root = F.join(out_root, "gold")
     # persist the cutoff FIRST so retention survives later full-history
     # gold recomputes (write_gold_partition filters dt < cutoff)
     _persist_retention_cutoff(gold_root, keep_from_dt)
     removed: list[dict] = []
+    expired: list[str] = []
     for d in sorted(F.glob(F.join(gold_root, "part=*", "dt=*"))):
         dt = F.basename(d)[3:]
         if dt >= keep_from_dt:
             continue
+        expired.append(d)
         rows = 0
         for f in F.glob(F.join(d, "*.parquet")):
             try:
                 rows += F.parquet_rows(f)
-            except Exception:
-                pass  # half-written leftover: still expired below
+            except pa.ArrowInvalid:
+                pass  # torn footer: a half-written leftover, expired below
         removed.append(
             {"fragment": F.relpath(d, gold_root), "dt": dt, "rows": rows}
         )
+    for d in expired:
         F.rmtree(d)
     if removed:  # a no-op re-run must not overwrite the audit record
         # unique run_id per invocation: a SECOND expire with the same

@@ -1253,7 +1253,8 @@ def q_docs_dup_clusters(sf_dir: str):
     The CC core (stages/graph.py) is hash-to-min label propagation with
     a vectorized per-partition local closure: a handful of rounds at two
     keyed exchanges each, edge set materialized once, only the small
-    labels relation per round."""
+    labels relation per round. An edge set of one block is labelled in
+    one task with no rounds."""
     from ..stages.graph import connected_components
 
     pairs = q_docs_minhash_pairs(sf_dir)

@@ -28,6 +28,12 @@ real cluster is explicit rather than implied by docstrings:
 - ``control-plane``  — driver-side lake/metadata operation over
                        manifests or bounded state (no bulk data motion).
 
+A class names the data motion of an input larger than one block. The
+keyed stages run an input of one block (``sources.reads.one_block``, at
+most 4 MiB) as one Ray task with no exchange (``stages/keyed.py``, "Size
+rule"): the keyed passes and cogroups, connected components and the skew
+join.
+
 ``scale_class(name)`` and ``scale_classes()`` are exported through
 ``__ray_entry__``; ``python -m ..pipelines.scale`` regenerates
 ``docs/SCALE_CLASSES.md``. tests/test_scale_classes.py pins full
@@ -46,8 +52,14 @@ CLASSES = (
     "control-plane",
 )
 
-# scale path notes for exact baselines and broadcast-bounded plans
+# scale path notes: exact baselines, broadcast-bounded plans and the
+# plans whose one-block path skips more than the exchange
 SCALE_PATH: dict[str, str] = {
+    "skew_join": "one block: one-task cogroup, no hot-key detection; beyond it hot keys broadcast, the rest one keyed exchange (stages/skewjoin.py)",
+    "docs_dup_clusters": "one-block adjacency: one-task union of all edges, no rounds; beyond it two keyed exchanges per label-propagation round (stages/graph.py)",
+    "docs_dup_cluster_sizes": "shares the docs_dup_clusters plan",
+    "docs_dedup_keep_best": "shares the docs_dup_clusters plan, then one keyed exchange on cluster_id",
+    "embedding_knn_components": "shares the connected-components plan of docs_dup_clusters",
     "knn_self": "IVF (knn_ivf) or LSH (knn_lsh) blocking at corpus scale",
     "knn": "broadcast query matrix is O(queries x dim); shard queries when large",
     "embedding_neardup": "LSH blocking (knn_lsh plan) at corpus scale",

@@ -72,13 +72,20 @@ def _total_bytes(paths) -> int:
 
 
 def num_blocks_for(total_bytes: int, cpus: int | None = None) -> int:
-    # Also the engine's plan choice: ``run_stream`` runs an input this
-    # sizes to one block (<= SMALL_BLOCK on disk) as one Ray task with no
-    # keyed exchange, and anything larger through the exchange.
     cpus = cpus or _cluster_cpus()
     by_large = -(-total_bytes // LARGE_BLOCK)  # floor: keep blocks <= 64 MB
     by_small = -(-total_bytes // SMALL_BLOCK)  # ceil candidate: 4 MB blocks
     return max(1, by_large, min(by_small, 2 * cpus))
+
+
+def one_block(total_bytes: int) -> bool:
+    """The engine's plan rule: True when ``num_blocks_for(total_bytes)`` is
+    1, which at any CPU count means at most ``SMALL_BLOCK`` bytes. Such an
+    input runs as one Ray task with no keyed exchange: the stream
+    (``pipelines/medallion.run_stream``), the daily build and the keyed
+    query stages (``stages/keyed.py``, ``graph``, ``skewjoin``) all ask
+    here."""
+    return total_bytes <= SMALL_BLOCK
 
 
 def read_parquet_sized(paths, *, columns=None, **kwargs):

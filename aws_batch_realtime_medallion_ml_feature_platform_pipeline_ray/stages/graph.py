@@ -24,6 +24,11 @@ recipe (Rastogi et al., "Finding Connected Components in Map-Reduce in
 Logarithmic Rounds") plus explicit pointer jumping, adapted to the
 engine's one-shuffle keyed pass.
 
+Size rule (``stages/keyed.py``): when the materialized adjacency is one
+block (``sources.reads.one_block``), ONE Ray task runs the local closure
+over all of it and yields every node's label; no rounds and no fixpoint
+checks run.
+
 Scale shape: the edge set is materialized ONCE (O(duplicate pairs),
 bounded by the dup rate, spillable) and streams through each round's
 cogroup; only the LABELS relation (O(nodes that appear in any pair))
@@ -42,10 +47,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .keyed import cogroup_by_key, map_partitions_by_key
+from ..sources.reads import one_block
+from .keyed import cogroup_by_key, map_partitions_by_key, one_task_dataset
 
 CC_MAX_ROUNDS = 30
-_LOCAL_MAX_ITERS = 64  # local closure: pointer jumping halves depth/iter
 CC_PART_BYTES = 4 << 20  # adjacency bytes per partition (derived count)
 
 
@@ -60,9 +65,14 @@ def _local_closure(x: np.ndarray, y: np.ndarray):
 
     Returns (uniq_sorted, lab) where ``uniq_sorted`` is the sorted array
     of distinct node ids and ``lab[i]`` indexes the smallest node id in
-    the local component of ``uniq_sorted[i]``. Iterated edge-min plus
-    pointer jumping in *rank* space (ranks are id-ordered, so min rank =
-    min id) — O(E log d) numpy work, no Python per-edge loop.
+    the local component of ``uniq_sorted[i]``. Labels live in *rank*
+    space (ranks are id-ordered, so min rank = min id) and always point to
+    a root. Each iteration hooks every root to the smallest root across
+    its edges, then pointer-jumps each node all the way to its new root;
+    it stops when no edge joins two roots. A label only ever points to a
+    smaller or equal rank, so the trees have no cycles and the root of a
+    component is its minimum. O(E) numpy work per iteration, no Python
+    per-edge loop; a few iterations even on long chains with shuffled ids.
     """
     codes, uniq = pd.factorize(np.concatenate([x, y]))
     m = len(uniq)
@@ -73,17 +83,19 @@ def _local_closure(x: np.ndarray, y: np.ndarray):
     cx = rank[codes[: len(x)]]
     cy = rank[codes[len(x) :]]
     lab = np.arange(m, dtype=np.int64)
-    for _ in range(_LOCAL_MAX_ITERS):
+    while True:
+        lx, ly = lab[cx], lab[cy]
         nxt = lab.copy()
-        np.minimum.at(nxt, cx, lab[cy])
-        np.minimum.at(nxt, cy, lab[cx])
-        nxt = np.minimum(nxt, nxt[nxt])  # pointer jump
+        np.minimum.at(nxt, lx, ly)  # hook roots
+        np.minimum.at(nxt, ly, lx)
+        while True:  # full pointer jumping: every node to its root
+            jumped = nxt[nxt]
+            if np.array_equal(jumped, nxt):
+                break
+            nxt = jumped
         if np.array_equal(nxt, lab):
-            break
+            return uniq_sorted, lab, cx
         lab = nxt
-    else:  # pragma: no cover - 2^64 depth is unreachable
-        raise RuntimeError("local closure failed to converge")
-    return uniq_sorted, lab, cx
 
 
 def _closure_part(part: pa.Table, x_col: str, y_col: str) -> pa.Table:
@@ -105,6 +117,13 @@ def _closure_part(part: pa.Table, x_col: str, y_col: str) -> pa.Table:
     )
 
 
+def _closure_all(*blocks: pa.Table):
+    """Every node's label from the whole adjacency, in one task: the
+    adjacency holds both directions, so every node is in the x position."""
+    tables = [b for b in blocks if b.num_rows]
+    yield _closure_part(pa.concat_tables(tables), "node", "nbr") if tables else _empty_labels()
+
+
 def connected_components(
     pairs,
     *,
@@ -122,7 +141,10 @@ def connected_components(
     then collapses more of the component in one numpy pass and the
     cross-partition diameter (= rounds) drops. One partition per ~4 MiB
     of adjacency, floored at 1, capped by the cluster-scale derivation
-    (stages/keyed.derive_num_parts) so huge graphs still spread."""
+    (stages/keyed.derive_num_parts) so huge graphs still spread.
+
+    An adjacency of one block is labelled in one task with no rounds
+    (module docstring, "Size rule"); ``num_parts`` then plays no part."""
 
     def to_adj(t: pa.Table) -> pa.Table:
         a = np.asarray(t[a_col].combine_chunks())
@@ -139,11 +161,13 @@ def connected_components(
     adj = pairs.map_batches(
         to_adj, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
+    adj_bytes = adj.size_bytes() or 0  # materialized: exact, free
+    if one_block(adj_bytes):
+        return one_task_dataset(_closure_all, *adj.to_arrow_refs())
 
     if num_parts is None:
         from .keyed import derive_num_parts
 
-        adj_bytes = adj.size_bytes() or 0  # materialized: exact, free
         num_parts = max(
             1,
             min(

@@ -10,13 +10,20 @@ segmented, vectorized pass over thousands of conversations at once
 (functions/windows.py). One all-to-all exchange serves dedup + sort +
 lag/lead + sessionization + rolling windows + as-of probe.
 
-Size rule: the exchange is for data that does not fit one block. The
-stream job (``pipelines/medallion.run_stream``) skips it when its input is
-one block under the sized-read rule (``sources.reads.num_blocks_for`` ==
-1, at most 4 MiB on disk): one task tags ``__part`` with
-:func:`add_partition_col` and cuts the table with
-:func:`split_by_partition`, the same partitions the exchange would form.
-:func:`map_partitions_by_key` and :func:`cogroup_by_key` always exchange.
+Size rule: the exchange is for data that does not fit one block. An
+input of one block under the sized-read rule (``sources.reads.one_block``:
+``num_blocks_for`` == 1, at most 4 MiB) skips it: ONE Ray task tags
+``__part`` with :func:`add_partition_col`, cuts the table with
+:func:`split_by_partition` into the same partitions the exchange would
+form, and calls the same per-partition function on each, in ascending
+order. The stream job (``pipelines/medallion.run_stream``) and
+:func:`map_partitions_by_key` / :func:`cogroup_by_key` (and so
+:func:`fold_by_keys`) all follow it. A stage learns its input's size from
+Ray's metadata when Ray knows it without running the plan
+(:func:`_bytes_hint`); otherwise it materializes the input and reads the
+exact size, and a larger input is exchanged from that materialized
+dataset, so nothing upstream runs twice. The one task's output is the
+result Dataset's one block; it never passes through the driver.
 
 Scale note: P should be ~2-4x total cluster cores and sized so one
 partition (~rows/P) fits a worker heap; at 100 TB that is P ~ 1e5-1e6 —
@@ -26,11 +33,14 @@ spills, never materializing the dataset on one node.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..sources.reads import one_block
 
 PART_COL = "__part"
 
@@ -136,6 +146,68 @@ def _bytes_hint(ds) -> int | None:
         return None
 
 
+def sized(ds):
+    """``(ds, bytes)``: the input's size for the plan rule. Ray's metadata
+    size when it is known without running the plan; otherwise the input is
+    materialized and its exact size read, and the materialized dataset is
+    returned so that later stages do not run the plan again."""
+    n = _bytes_hint(ds)
+    if n is None:
+        ds = ds.materialize()
+        n = ds.size_bytes()
+    return ds, n
+
+
+@functools.cache
+def _remote(fn, num_returns=1):
+    import ray
+
+    return ray.remote(num_returns=num_returns)(fn)
+
+
+def run_one_task(fn, *args):
+    """``fn(*args)`` as one Ray task, its value returned to the caller; the
+    one-block plans of the stream and the daily build run through here.
+    Each function is wrapped once per process: Ray pickles and exports a
+    wrapped function on its first call in each session, not on every
+    call."""
+    import ray
+
+    return ray.get(_remote(fn).remote(*args))
+
+
+def one_task_dataset(fn, *args):
+    """The tables the generator ``fn(*args)`` yields, run as one Ray task
+    (the wrapper of :func:`run_one_task`), as the blocks of a Dataset. The
+    tables stay in the object store; the driver sees only their refs."""
+    import ray
+    import ray.data as rd
+
+    return rd.from_arrow_refs(list(ray.get(_remote(fn, "dynamic").remote(*args))))
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    # the exchange's output blocks unify schemas the same way
+    return pa.concat_tables(tables, promote_options="permissive")
+
+
+def _groups_task(run, tags, counts, *blocks):
+    """The keyed exchange's groups in one task. ``blocks`` holds the
+    blocks of each input in turn, ``counts[i]`` of them tagged by
+    ``tags[i]``; the tagged inputs are cut into hash partitions and
+    ``run`` is called on each, in ascending ``__part`` order. Yields the
+    outputs as one table, or nothing for an empty input, as the exchange
+    then yields no rows."""
+    inputs, start = [], 0
+    for tag, n in zip(tags, counts):
+        tables = [b for b in blocks[start:start + n] if b.num_rows]
+        start += n
+        if tables:
+            inputs.append(tag(_concat(tables)))
+    if inputs:
+        yield _concat([run(g) for g in split_by_partition(_concat(inputs))])
+
+
 _SPLITMIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_C2 = np.uint64(0x94D049BB133111EB)
 
@@ -193,24 +265,27 @@ def map_partitions_by_key(
     ``fn`` must be self-contained per partition: all rows of any ``key``
     value land in exactly one call.
 
-    ``num_parts=None`` derives the count from cluster CPUs and (when Ray
-    can infer it from read metadata) the input bytes — see
-    :func:`derive_num_parts`.
+    ``num_parts=None`` derives the count from cluster CPUs and the input
+    bytes — see :func:`derive_num_parts`. An input of one block runs in
+    one Ray task (module docstring, "Size rule").
     """
     tune_shuffle_context()
+    ds, nbytes = sized(ds)
     if num_parts is None:
-        num_parts = derive_num_parts(_bytes_hint(ds))
-    tagged = ds.map_batches(
-        lambda t, k=key, p=num_parts: add_partition_col(
+        num_parts = derive_num_parts(nbytes)
+
+    def tag(t: pa.Table, k=key, p=num_parts) -> pa.Table:
+        return add_partition_col(
             t if extra_cols_fn is None else extra_cols_fn(t), k, p
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+        )
 
     def run(group: pa.Table) -> pa.Table:
         return fn(group.drop_columns([PART_COL]))
 
+    if one_block(nbytes):
+        refs = ds.to_arrow_refs()
+        return one_task_dataset(_groups_task, run, [tag], [len(refs)], *refs)
+    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
     return tagged.groupby(PART_COL).map_groups(run, batch_format="pyarrow")
 
 
@@ -324,7 +399,9 @@ def cogroup_by_key(
 
     Implemented as schema-aligned union with a side tag column, then the
     same ``groupby(__part)`` exchange as :func:`map_partitions_by_key` —
-    the portable partitioned-join pattern when both sides are large.
+    the portable partitioned-join pattern when both sides are large. When
+    the two sides together are one block, one Ray task forms the same
+    partitions (module docstring, "Size rule").
 
     ``left_schema`` / ``right_schema``: optional ray.data ``Schema``
     overrides for when ``ds.schema()`` returns None (Ray loses the
@@ -332,9 +409,10 @@ def cogroup_by_key(
     schema captured from the pre-transform dataset.
     """
     tune_shuffle_context()
+    left, lb = sized(left)
+    right, rb = sized(right)
     if num_parts is None:
-        lb, rb = _bytes_hint(left), _bytes_hint(right)
-        num_parts = derive_num_parts((lb or 0) + (rb or 0) or None)
+        num_parts = derive_num_parts(lb + rb)
     l_schema = left.schema() or left_schema  # ray Schema (names + types)
     r_schema = right.schema() or right_schema
     if l_schema is None or r_schema is None:
@@ -367,10 +445,6 @@ def cogroup_by_key(
 
         return _align
 
-    lt = left.map_batches(align(0), batch_format="pyarrow")
-    rt = right.map_batches(align(1), batch_format="pyarrow")
-    both = lt.union(rt)
-
     def run(group: pa.Table) -> pa.Table:
         side = np.asarray(group[SIDE_COL].combine_chunks())
         g = group.drop_columns([SIDE_COL, PART_COL])
@@ -379,9 +453,17 @@ def cogroup_by_key(
         rpart = g.select(r_names).filter(pa.array(~lmask))
         return fn(lpart, rpart)
 
-    tagged = both.map_batches(
-        lambda t, k=key, p=num_parts: add_partition_col(t, k, p),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return tagged.groupby(PART_COL).map_groups(run, batch_format="pyarrow")
+    def tag(side: int):
+        return lambda t, k=key, p=num_parts: add_partition_col(
+            align(side)(t), k, p
+        )
+
+    if one_block(lb + rb):
+        lrefs, rrefs = left.to_arrow_refs(), right.to_arrow_refs()
+        return one_task_dataset(
+            _groups_task, run, [tag(0), tag(1)], [len(lrefs), len(rrefs)],
+            *lrefs, *rrefs,
+        )
+    lt = left.map_batches(tag(0), batch_format="pyarrow")
+    rt = right.map_batches(tag(1), batch_format="pyarrow")
+    return lt.union(rt).groupby(PART_COL).map_groups(run, batch_format="pyarrow")

@@ -26,6 +26,10 @@ standard two-path mitigation explicitly:
    single-path join for ANY hot/cold split, so correctness never
    depends on the detector (routing is correctness-neutral).
 
+Size rule (``stages/keyed.py``): when the two sides together are one
+block (``sources.reads.one_block``) there is no exchange to skew, so the
+join is the one-task cogroup straight away and no hot keys are detected.
+
 This is the join-shaped sibling of the salted window pass
 (stages/salted.py, SURVEY.md §2 B14): salting fixes skew for *keyed
 windows* by splitting hot keys across shards with exact stitching;
@@ -48,7 +52,8 @@ from typing import Callable
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .keyed import cogroup_by_key
+from ..sources.reads import one_block
+from .keyed import cogroup_by_key, sized
 from .salted import detect_hot_keys
 
 
@@ -93,10 +98,12 @@ def skew_aware_join(
     """
     import ray
 
+    left, lb = sized(left)
+    right, rb = sized(right)
     # capture schemas up front: filtered-to-empty sides lose theirs
     l_schema, r_schema = left.schema(), right.schema()
 
-    hot_keys = detect_hot_keys(left, key, hot_threshold)
+    hot_keys = [] if one_block(lb + rb) else detect_hot_keys(left, key, hot_threshold)
     if len(hot_keys) == 0:
         return cogroup_by_key(
             left, right, key, join_fn, num_parts=num_parts,

@@ -5,17 +5,27 @@ composite integer keys, mixed reducers, and type-widening rules.
 Replaces ``Dataset.groupby().aggregate()`` where group count scales with
 the data (per-user/doc/node/pair partials) — that operator degraded to
 65+ s on a 1.2 M-group fold at sf0.1 (see stages/keyed.py docstring).
+
+Every input here is one block, which the fold runs as one task; these
+tests force the exchange by shrinking ``sources.reads.SMALL_BLOCK``, and
+tests/test_query_plans.py checks the one-task plan against it.
 """
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from test_stream_plans import force_exchange
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed import (
     fold_by_keys,
     fold_sum_by_keys,
 )
+
+
+@pytest.fixture(autouse=True)
+def _exchange(monkeypatch):
+    force_exchange(monkeypatch)
 
 
 def _ds(table: pa.Table, blocks: int = 4):

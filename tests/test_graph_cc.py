@@ -23,6 +23,13 @@ def _cc_oracle(edges):
     return {v: find(v) for v in parent}
 
 
+def _shuffled_chain(n):
+    """A path over ``n`` shuffled ids: edge-min label propagation moves a
+    label about one hop per iteration along it (540 iterations at n=1000)."""
+    ids = np.random.default_rng(0).permutation(n)
+    return [(int(a), int(b)) for a, b in zip(ids[:-1], ids[1:])]
+
+
 def _run_cc(ray_session, edges, num_parts=8):
     import ray.data as rd
 
@@ -53,6 +60,7 @@ def test_local_closure_pure_numpy():
     cases.append([(i, i + 1) for i in range(500)])  # depth-500 chain
     cases.append([(i + 1, i) for i in range(500)])  # reversed orientation
     cases.append([(0, 0), (5, 5)])  # self loops only
+    cases.append(_shuffled_chain(1000))
     for edges in cases:
         x = np.array([a for a, _ in edges], dtype=np.int64)
         y = np.array([b for _, b in edges], dtype=np.int64)
@@ -88,12 +96,16 @@ def test_popcount64_pure_numpy():
     assert np.array_equal(_popcount64(rand.view(np.int64)), _popcount64(rand))
 
 
-def test_cc_long_chain(ray_session):
+def test_cc_long_chain(ray_session, monkeypatch):
     """A 40-node path: plain propagation would need ~40 rounds, past
     CC_MAX_ROUNDS (30) — only the pointer-jumping path converges. A star,
     a random component, and an isolated pair ride along so ONE Ray run
     covers all shapes (each CC round costs real keyed exchanges, so tests
-    are merged rather than paying the round loop per shape)."""
+    are merged rather than paying the round loop per shape). The graph is
+    one block, so the round loop is forced by shrinking SMALL_BLOCK."""
+    from test_stream_plans import force_exchange
+
+    force_exchange(monkeypatch)
     edges = [(i, i + 1) for i in range(40)]
     edges += [(100, i) for i in range(101, 110)]  # star centered at 100
     edges += [(1000, 2000)]  # isolated pair
@@ -105,6 +117,29 @@ def test_cc_long_chain(ray_session):
     ]
     got = _run_cc(ray_session, edges)
     assert got == _cc_oracle(edges)
+
+
+@pytest.mark.parametrize("plan", ["one_task", "exchange"])
+def test_cc_shuffled_chain(ray_session, monkeypatch, plan):
+    """connected_components on a 999-edge path over shuffled ids, with the
+    derived partition count, on both plans."""
+    import ray.data as rd
+
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.graph import (
+        connected_components,
+    )
+    from test_stream_plans import force_exchange
+
+    if plan == "exchange":
+        force_exchange(monkeypatch)
+    edges = _shuffled_chain(1000)
+    pairs = rd.from_arrow(pa.table({
+        "doc_a": pa.array([a for a, _ in edges], pa.int64()),
+        "doc_b": pa.array([b for _, b in edges], pa.int64()),
+    }))
+    out = connected_components(pairs).to_pandas()
+    assert sorted(out["node"]) == list(range(1000))
+    assert (out["rep"] == 0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,46 @@ def test_online_meta_written_once(ray_session, tmp_path):
     assert (again.st_ino, again.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
 
 
+def _gold_fragments(lake, dts):
+    """One three-row ``data.parquet`` per ``dt`` under gold/part=00000."""
+    for dt in dts:
+        d = os.path.join(lake, "gold", "part=00000", f"dt={dt}")
+        os.makedirs(d)
+        pq.write_table(pa.table({"x": [1, 2, 3]}), os.path.join(d, "data.parquet"))
+    return os.path.join(lake, "gold", "part=00000")
+
+
+def test_expire_counts_torn_footer_as_zero_rows(tmp_path):
+    lake = str(tmp_path)
+    part = _gold_fragments(lake, ["2024-01-01", "2024-01-02", "2024-01-03"])
+    with open(os.path.join(part, "dt=2024-01-01", "part-torn.parquet"), "wb") as f:
+        f.write(b"PAR1" + b"\0" * 64)  # killed mid-write: no footer
+    res = expire_gold_partitions(lake, keep_from_dt="2024-01-03")
+    assert (res["fragments_removed"], res["rows_removed"]) == (2, 6)
+    assert sorted(os.listdir(part)) == ["dt=2024-01-03"]
+
+
+def test_expire_propagates_read_errors_and_deletes_nothing(tmp_path, monkeypatch):
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.state import (
+        fsio as F,
+    )
+
+    lake = str(tmp_path)
+    part = _gold_fragments(lake, ["2024-01-01", "2024-01-02", "2024-01-03"])
+    real = F.parquet_rows
+
+    def denied(path):
+        if "dt=2024-01-02" in path:
+            raise PermissionError(13, "Permission denied", path)
+        return real(path)
+
+    monkeypatch.setattr(F, "parquet_rows", denied)
+    with pytest.raises(PermissionError):
+        expire_gold_partitions(lake, keep_from_dt="2024-01-03")
+    assert sorted(os.listdir(part)) == ["dt=2024-01-01", "dt=2024-01-02", "dt=2024-01-03"]
+    assert M.load_manifests(lake, "expire") == []
+
+
 def test_retention_survives_recompute(ray_session, tmp_path):
     bronze, out = _mklake(tmp_path)
     run_stream(bronze, out, run_id="r1", processed_at=PROCESSED_AT,

@@ -1,0 +1,117 @@
+"""The query stages' two plans. An input of one block
+(``sources.reads.one_block``, at most ``SMALL_BLOCK`` bytes) runs in one Ray
+task that forms the same hash partitions as the keyed exchange; a larger one
+goes through the exchange. The exchange is forced by shrinking
+``SMALL_BLOCK``, below 0 where even an empty input must take it."""
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+from test_stream_plans import force_exchange
+
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources import (
+    reads,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.graph import (
+    connected_components,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed import (
+    cogroup_by_key,
+    fold_by_keys,
+    map_partitions_by_key,
+)
+from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.skewjoin import (
+    skew_aware_join,
+)
+from perfbench.oracle import digest
+from perfbench.queries import QUERIES, registry
+
+SF = "/root/testdata/sf0.001"
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_query_mix_same_digest_on_both_plans(ray_session, monkeypatch, name):
+    fn, _sql = registry([name])[name]
+    one_task = digest(fn(SF))
+    force_exchange(monkeypatch)
+    assert digest(fn(SF)) == one_task
+
+
+def _stages(k: np.ndarray):
+    """Each stage over keys ``k`` (facts (k, v), dims (k, name), edges
+    (k, k + 1)), as name -> zero-argument callable returning a Dataset."""
+    import ray.data as rd
+
+    # closures, so Ray pickles them by value (test modules are not
+    # importable in workers)
+    def per_key_rows(t: pa.Table) -> pa.Table:
+        # a whole-partition function: rows per key within the partition
+        uniq, cnt = np.unique(np.asarray(t["k"].combine_chunks()), return_counts=True)
+        return pa.table({"k": pa.array(uniq, pa.int64()), "n": pa.array(cnt, pa.int64())})
+
+    def join(lp: pa.Table, rp: pa.Table) -> pa.Table:
+        return lp.join(rp, "k").select(["k", "v", "name"])
+
+    facts = pa.table({"k": pa.array(k, pa.int64()),
+                      "v": pa.array(np.arange(len(k)), pa.int64())})
+    dims = pa.table({"k": pa.array(np.unique(k), pa.int64()),
+                     "name": pa.array([f"n{i}" for i in np.unique(k)], pa.string())})
+    edges = pa.table({"doc_a": pa.array(k, pa.int64()),
+                      "doc_b": pa.array(k + 1, pa.int64())})
+
+    def ds(t):  # three blocks that keep the schema even when empty
+        n = t.num_rows
+        return rd.from_arrow([t.slice(0, n // 3), t.slice(n // 3, n // 3),
+                              t.slice(2 * (n // 3))])
+
+    return {
+        "map_partitions_by_key": lambda: map_partitions_by_key(
+            ds(facts), "k", per_key_rows, num_parts=4),
+        "fold_by_keys": lambda: fold_by_keys(ds(facts), ["k"], sums=("v",)),
+        "cogroup_by_key": lambda: cogroup_by_key(ds(facts), ds(dims), "k", join),
+        "connected_components": lambda: connected_components(ds(edges)),
+        "skew_aware_join": lambda: skew_aware_join(
+            ds(facts), ds(dims), "k", join, num_parts=4, hot_threshold=50),
+    }
+
+
+def _frame(ds) -> pd.DataFrame:
+    df = ds.to_pandas()
+    return df.sort_values(sorted(df.columns), ignore_index=True)
+
+
+@pytest.mark.parametrize("stage", list(_stages(np.zeros(1, np.int64))))
+def test_stage_same_rows_on_both_plans(ray_session, monkeypatch, stage):
+    # key 0 is hot for the skew join; keys 100.. make disjoint chains
+    k = np.concatenate([np.zeros(80, np.int64),
+                        np.random.default_rng(5).integers(100, 400, 300)])
+    one_task = _frame(_stages(k)[stage]())
+    assert len(one_task)
+    force_exchange(monkeypatch)
+    pd.testing.assert_frame_equal(_frame(_stages(k)[stage]()), one_task)
+
+
+def test_one_block_inputs_plan_no_groupby(ray_session, monkeypatch):
+    from ray.data import Dataset
+
+    calls = []
+    orig = Dataset.groupby
+
+    def spy(self, key, *a, **kw):
+        calls.append(key)
+        return orig(self, key, *a, **kw)
+
+    monkeypatch.setattr(Dataset, "groupby", spy)
+    k = np.random.default_rng(3).integers(0, 50, 500)
+    for name, run in _stages(k).items():
+        assert len(run().to_pandas()), name
+    assert calls == []
+
+
+@pytest.mark.parametrize("plan", ["one_task", "exchange"])
+def test_empty_input_yields_no_rows(ray_session, monkeypatch, plan):
+    if plan == "exchange":
+        monkeypatch.setattr(reads, "SMALL_BLOCK", -1)
+    for name, run in _stages(np.zeros(0, np.int64)).items():
+        assert run().count() == 0, name

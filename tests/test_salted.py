@@ -142,10 +142,12 @@ def test_detect_hot_keys_uses_keyed_exchange(ray_session, monkeypatch):
     """Guard (VERDICT r2): per-key counts are a data-scaling fold and must
     ride the engine's keyed exchange (groupby on the int32 __part column),
     never ``Dataset.groupby(conv_id)`` whose sort-based grouping cliffs at
-    millions of distinct keys."""
+    millions of distinct keys. The input is one block, so the exchange is
+    forced."""
     import pyarrow as pa
     import ray.data as rd
     from ray.data import Dataset
+    from test_stream_plans import force_exchange
 
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed import (
         PART_COL,
@@ -166,6 +168,7 @@ def test_detect_hot_keys_uses_keyed_exchange(ray_session, monkeypatch):
         seen.append(key)
         return orig(self, key, *a, **k)
 
+    force_exchange(monkeypatch)
     monkeypatch.setattr(Dataset, "groupby", spy)
     hot = detect_hot_keys(rd.from_arrow(tbl).repartition(6), "conv_id", 400)
     assert hot.to_pylist() == ["hot"]

@@ -1,9 +1,14 @@
-"""Skew-aware join: path routing and parity with a single-path join."""
+"""Skew-aware join: path routing and parity with a single-path join.
+
+Every fixture here is one block, which the join runs as one task without
+routing; the routing tests force the exchange by shrinking
+``sources.reads.SMALL_BLOCK``."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from test_stream_plans import force_exchange
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.skewjoin import (
     skew_aware_join,
@@ -74,7 +79,8 @@ def _canon(df):
     return df.sort_values(["k", "v"], ignore_index=True)[["k", "v", "name"]]
 
 
-def test_skew_join_two_paths(ray_session):
+def test_skew_join_two_paths(ray_session, monkeypatch):
+    force_exchange(monkeypatch)
     fact, dim, ks = _fixture()
     # threshold 100: only key 0 is hot -> both paths carry rows
     hot = detect_hot_keys(fact, "k", 100)
@@ -84,7 +90,8 @@ def test_skew_join_two_paths(ray_session):
     pd.testing.assert_frame_equal(got, _expected(ks), check_dtype=False)
 
 
-def test_skew_join_no_hot_keys_falls_back_to_shuffle(ray_session):
+def test_skew_join_no_hot_keys_falls_back_to_shuffle(ray_session, monkeypatch):
+    force_exchange(monkeypatch)
     fact, dim, ks = _fixture()
     out = skew_aware_join(
         fact, dim, "k", _make_join(), num_parts=8, hot_threshold=10_000
@@ -93,17 +100,20 @@ def test_skew_join_no_hot_keys_falls_back_to_shuffle(ray_session):
     pd.testing.assert_frame_equal(got, _expected(ks), check_dtype=False)
 
 
-def test_skew_join_all_hot_is_pure_broadcast(ray_session):
+def test_skew_join_all_hot_is_pure_broadcast(ray_session, monkeypatch):
+    force_exchange(monkeypatch)
     fact, dim, ks = _fixture()
     out = skew_aware_join(fact, dim, "k", _make_join(), num_parts=8, hot_threshold=1)
     got = _canon(out.to_pandas())
     pd.testing.assert_frame_equal(got, _expected(ks), check_dtype=False)
 
 
-def test_skew_join_plan_equivalence_zipf(ray_session):
+def test_skew_join_plan_equivalence_zipf(ray_session, monkeypatch):
     """Both plans (skew-aware vs single-path cogroup) must emit identical
     rows on a heavily Zipf-skewed corpus — routing is correctness-neutral."""
     import ray.data as rd
+
+    force_exchange(monkeypatch)
 
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed import (
         cogroup_by_key,
