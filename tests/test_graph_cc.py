@@ -4,6 +4,7 @@ stars, and multi-component graphs, checked against a union-find oracle."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from test_stream_plans import force_exchange
 
 
 def _cc_oracle(edges):
@@ -103,8 +104,6 @@ def test_cc_long_chain(ray_session, monkeypatch):
     covers all shapes (each CC round costs real keyed exchanges, so tests
     are merged rather than paying the round loop per shape). The graph is
     one block, so the round loop is forced by shrinking SMALL_BLOCK."""
-    from test_stream_plans import force_exchange
-
     force_exchange(monkeypatch)
     edges = [(i, i + 1) for i in range(40)]
     edges += [(100, i) for i in range(101, 110)]  # star centered at 100
@@ -128,7 +127,6 @@ def test_cc_shuffled_chain(ray_session, monkeypatch, plan):
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.graph import (
         connected_components,
     )
-    from test_stream_plans import force_exchange
 
     if plan == "exchange":
         force_exchange(monkeypatch)
