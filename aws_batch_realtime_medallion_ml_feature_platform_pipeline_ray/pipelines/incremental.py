@@ -259,8 +259,7 @@ def process_partition_incremental(
     # validated + retried with tallies (S8) ----
     put = {"success": 0, "errors": 0}
     if gold_out is not None and gold_out.num_rows:
-        online_tbl = _upsert_online(online_root, key, last_out)
-        put = FP.put_partition(online_tbl, online_root, key, run_id=run_id)
+        put = FP.put_partition(last_out, online_root, key, run_id=run_id)
 
     # ---- 4. state: the trailing window with each conversation's summary
     # on its latest row and the run's record, committed by one rename ----
@@ -349,24 +348,6 @@ def _silver_history(silver_root: str, key: str, convs) -> pa.Table:
     if convs is None:
         return hist
     return hist.filter(pc.is_in(hist["conv_id"], value_set=_str_array(convs)))
-
-
-def _upsert_online(online_root: str, key: str, latest: pa.Table) -> pa.Table:
-    """The partition's online table with ``latest``'s conversations
-    replaced (untouched conversations persist)."""
-    dest = F.join(online_root, f"part={key}", "data.parquet")
-    if not F.exists(dest):
-        return latest
-    old = F.read_table(dest)
-    kept = old.filter(
-        pc.invert(
-            pc.is_in(
-                old["conv_id"].combine_chunks(),
-                value_set=latest["conv_id"].combine_chunks(),
-            )
-        )
-    )
-    return pa.concat_tables([kept, latest], promote_options="default")
 
 
 def _replace_convs(summary: pa.Table, upd: pa.Table) -> pa.Table:

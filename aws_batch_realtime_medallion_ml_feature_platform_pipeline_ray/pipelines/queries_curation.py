@@ -742,16 +742,16 @@ def q_docs_bpe_merge(sf_dir: str):
     Plan: ZERO data shuffles — each batch's token stream collapses to
     (pair, count) partials via O(max word length) vectorized slice
     kernels + one dictionary-encoded bincount (the pair space is bounded
-    by alphabet², not corpus size); a tiny pair groupby folds partials
-    and a single-block cut ranks the winners. Slices are
-    codepoint-based on both sides (pyarrow ``utf8_slice_codeunits`` /
-    SQL ``substr``), identical on this corpus's ASCII vocabulary."""
+    by alphabet², not corpus size); ``stages.keyed.sum_partials`` folds
+    the partials by pair and ranks the winners on the one folded table.
+    Slices are codepoint-based on both sides (pyarrow
+    ``utf8_slice_codeunits`` / SQL ``substr``), identical on this
+    corpus's ASCII vocabulary."""
     import numpy as np
-
-    from ray.data.aggregate import Sum
 
     from ..functions.text import _flat_tokens, tokens_list
     from ..sources.reads import read_parquet_sized
+    from ..stages.keyed import sum_partials
 
     ds = read_parquet_sized(f"{sf_dir}/documents.parquet", columns=["text"])
 
@@ -780,12 +780,6 @@ def q_docs_bpe_merge(sf_dir: str):
             {"pair": enc.dictionary.cast(pa.string()), "pn": pa.array(counts)}
         )
 
-    folded = (
-        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pair")
-        .aggregate(Sum("pn", alias_name="n"))
-    )
-
     def finish(t: pa.Table) -> pa.Table:
         pairs = np.asarray(t["pair"].combine_chunks().cast(pa.large_string()))
         n = np.asarray(t["n"].combine_chunks().cast(pa.int64()))
@@ -798,9 +792,10 @@ def q_docs_bpe_merge(sf_dir: str):
             }
         )
 
-    return folded.repartition(1).map_batches(
-        finish, batch_format="pyarrow", batch_size=None
+    partials = ds.map_batches(
+        pair_partial, batch_format="pyarrow", zero_copy_batch=True
     )
+    return sum_partials(partials, ["pair"], {"pn": "n"}, finish)
 
 
 DOCS_BPE_MERGE_SQL = f"""

@@ -1572,7 +1572,7 @@ def q_embedding_power_iteration(sf_dir: str):
     batch, O(d) partial rows out, NO vector shuffle. v₁ = round6(p),
     then v_next = round6(v₁ / ‖v₁‖). ROUND(,6) absorbs summation-order
     ULP (same contract as ``embedding_covariance``)."""
-    from ray.data.aggregate import Sum
+    from ..stages.keyed import sum_partials
 
     ds = read_parquet_sized(
         f"{sf_dir}/embeddings.parquet", columns=["embedding"]
@@ -1603,12 +1603,6 @@ def q_embedding_power_iteration(sf_dir: str):
             }
         )
 
-    folded = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dim")
-        .aggregate(Sum("p", alias_name="p"))
-    )
-
     def finale(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(t["dim"])
         dim = np.asarray(t["dim"].combine_chunks().take(order))
@@ -1625,7 +1619,8 @@ def q_embedding_power_iteration(sf_dir: str):
             }
         )
 
-    return folded.repartition(1).map_batches(finale, batch_format="pyarrow")
+    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return sum_partials(partials, ["dim"], {"p": "p"}, finale)
 
 
 EMBEDDING_POWER_ITERATION_SQL = """

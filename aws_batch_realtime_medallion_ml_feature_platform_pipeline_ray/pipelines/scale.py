@@ -29,10 +29,11 @@ real cluster is explicit rather than implied by docstrings:
                        manifests or bounded state (no bulk data motion).
 
 A class names the data motion of an input larger than one block. The
-keyed stages run an input of one block (``sources.reads.one_block``, at
+query stages run an input of one block (``sources.reads.one_block``, at
 most 4 MiB) as one Ray task with no exchange (``stages/keyed.py``, "Size
-rule"): the keyed passes and cogroups, connected components and the skew
-join.
+rule"): the keyed passes and cogroups, connected components, the skew
+join, the global order's sort and scans (``stages/globalorder.py``) and
+the small-key sum folds (``keyed.sum_partials``).
 
 ``scale_class(name)`` and ``scale_classes()`` are exported through
 ``__ray_entry__``; ``python -m ..pipelines.scale`` regenerates
@@ -75,7 +76,7 @@ SCALE_PATH: dict[str, str] = {
     "docs_weighted_jaccard": "candidate set bounded by weighted prefix filter; verify auto-routes to cogroup past BROADCAST_CAND_LIMIT",
     "docs_neardup_filter": "removal list bounded by dup rate; keyed anti-join beyond memory",
     "docs_decontam": "eval-gram set is fixed benchmark-sized",
-    "docs_fuzzy_pairs": "sorted-neighborhood window bounds the pair set",
+    "docs_fuzzy_pairs": "sorted-neighborhood window bounds the pair set; the global rank shares the docs_global_rank plan",
     "docs_del1_pairs": "deletion-neighborhood keys are O(len) per doc",
     "docs_dedup_semantic_audit": "audit over sampled pairs at scale",
     "eval_dim_truncation": "exact recall audit; sample queries at scale",
@@ -84,7 +85,11 @@ SCALE_PATH: dict[str, str] = {
     "docs_vocab_overlap": "per-language vocab partials; cap vocab at scale",
     "embedding_pq_codes": "codebook broadcast is O(M*K*dim) — constant",
     "docs_prefix_dupes": "narrow 64-codepoint-key sort + O(#blocks) stitch; text exchanged only for the multi-group cohort (broadcast id list; doc_id cogroup beyond it)",
-    "docs_head_middle_tail": "one range-partitioned sort + O(#blocks) offset scan (stages/globalorder.with_global_rank)",
+    "docs_head_middle_tail": "one block: one-task local sort + scan; beyond it one range-partitioned sort + O(#blocks) offset scan (stages/globalorder.with_global_rank)",
+    "docs_global_rank": "one block: one-task local sort + 1 + arange; beyond it one range-partitioned sort + O(#blocks) offset scan (stages/globalorder.with_global_rank)",
+    "events_value_quantiles": "shares the docs_global_rank plan, then a map-only pick of the target ranks",
+    "docs_bpe_merge": "one block: one-task pyarrow fold of the pair partials + top-K; beyond it groupby().aggregate(Sum) + repartition(1) (stages/keyed.sum_partials)",
+    "embedding_power_iteration": "one block: one-task pyarrow fold of the per-dim partials + normalize; beyond it groupby().aggregate(Sum) + repartition(1) (stages/keyed.sum_partials)",
     "docs_suffix_dupes": "narrow 64-codepoint-key sort + O(#blocks) stitch; text exchanged only for the multi-group cohort (broadcast id list; doc_id cogroup beyond it)",
     "docs_token_coverage_curve": "per-partition top-K partials; driver merge is O(parts x K)",
     "orders_q3_unshipped": "per-partition top-k partials; driver fold is O(parts x k)",

@@ -1,22 +1,37 @@
-"""Global total-order ranking on top of Ray Data's range-partitioned sort.
+"""Global total-order ranking and prefix scans.
 
 ``Dataset.sort`` gives a total order across blocks (range partitioning +
-per-block sort) but no row numbers. This stage adds an exact global rank
-with the canonical two-pass block-offset scan:
+per-block sort) but no row numbers. This stage adds exact global ranks,
+weighted ranks and running maxima, under the size rule of
+``stages/keyed.py``:
 
-1. ``ds.sort(keys)`` — the one unavoidable all-to-all exchange.
-2. Per-block partials: (first-row key, row count) — one tiny row per
-   block, collected to the driver (O(#blocks), never O(rows)).
-3. Driver exclusive-scan over the block partials, keyed by the block's
-   first-row key (unique when ``keys`` is a candidate key), broadcast as
-   an O(#blocks) dict.
-4. One more pass: each block adds its offset to a local ``arange``.
+- An input of one block (``sources.reads.one_block``) runs in ONE Ray
+  task: the blocks are concatenated, sorted with ``pc.sort_indices`` (the
+  per-block sort of ``Dataset.sort``: nulls last and NaN just before them
+  in either direction, the default order of SQL too), and the scan
+  columns are added directly (``1 + arange``, the exclusive weight
+  cumsum, the running max). No exchange, no driver round trip.
+- A larger input takes the canonical two-pass block-offset scan:
 
-Passes 2 and 4 run with ``batch_size=None`` (whole blocks) over the SAME
-materialized sorted dataset, so batching is identical in both passes and
-the first-row key identifies each block. The mid-pipeline ``materialize``
-is inherent to rank assignment (a scan barrier, like the sort itself);
-blocks live in the object store and spill, never on one node.
+  1. ``ds.sort(keys)``, the range-partitioned all-to-all exchange.
+  2. Per-block partials: (first-row key, row count) — one tiny row per
+     block, collected to the driver (O(#blocks), never O(rows)).
+  3. Driver exclusive-scan over the block partials, keyed by the block's
+     first-row key (unique when ``keys`` is a candidate key), broadcast
+     as an O(#blocks) dict.
+  4. One more pass: each block adds its offset to its local scan.
+
+  Passes 2 and 4 run with ``batch_size=None`` (whole blocks) over the
+  SAME materialized sorted dataset, so batching is identical in both
+  passes and the first-row key identifies each block. The mid-pipeline
+  ``materialize`` is inherent to rank assignment (a scan barrier, like
+  the sort itself); blocks live in the object store and spill, never on
+  one node. Ray's range partitioning places null and NaN keys
+  inconsistently when they sort descending or share one sort, so the
+  large plan needs keys free of them for those orders.
+
+An empty input gives its columns plus the scan columns, with zero rows,
+on both plans.
 
 The per-entity ordering analog of the reference's global ``ORDER BY``
 outputs (scripts/transform_and_prepare_sample_data.py writes sorted
@@ -28,6 +43,109 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..sources.reads import one_block
+from .keyed import _concat, map_partitions_by_key, one_task_dataset, sized
+
+I64MIN = np.iinfo(np.int64).min
+
+
+def _sort_keys(keys: list[str], descending: list[bool]) -> list[tuple[str, str]]:
+    return [(k, "descending" if d else "ascending") for k, d in zip(keys, descending)]
+
+
+def _sorted(t: pa.Table, keys: list[str], descending: list[bool]) -> pa.Table:
+    """``t`` in the order ``Dataset.sort`` gives one block."""
+    if not t.num_rows:
+        return t
+    return t.take(pc.sort_indices(t, sort_keys=_sort_keys(keys, descending)))
+
+
+def _row_key(t: pa.Table, keys: list[str], i: int) -> tuple:
+    """Row ``i``'s ``keys`` as a dict key; NaN, equal to nothing, as a token."""
+    vals = (t[k][i].as_py() for k in keys)
+    return tuple("NaN" if isinstance(v, float) and v != v else v for v in vals)
+
+
+def _block_partials(s, keys, descending, stat) -> pa.Table | None:
+    """``stat`` of each non-empty block of the sorted ``s`` (one row each,
+    led by the block's first-row ``keys``), in sort order; None when
+    ``s`` has no rows."""
+    import ray
+
+    def one_row(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return pa.table({})
+        return pa.table({**{k: t[k].slice(0, 1) for k in keys}, **stat(t)})
+
+    refs = s.map_batches(
+        one_row, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
+    ).to_arrow_refs()
+    stats = [b for b in ray.get(refs) if b.num_rows]  # O(#blocks) rows
+    if not stats:
+        return None
+    return _sorted(_concat(stats), keys, descending)
+
+
+def _empty_result(ds, cols: list[str]):
+    """The zero-row result of an empty input: its columns plus the int64
+    ``cols`` (``Dataset.sort`` drops an empty input's schema)."""
+    import ray.data as rd
+
+    schema = ds.schema()
+    t = pa.table({})
+    if schema is not None:
+        t = pa.schema(zip(schema.names, schema.types)).empty_table()
+    return rd.from_arrow(_with_empty(t, cols))
+
+
+def _with_empty(t: pa.Table, cols: list[str]) -> pa.Table:
+    for c in cols:
+        t = t.append_column(c, pa.array([], pa.int64()))
+    return t
+
+
+def _add_scans(t: pa.Table, specs, bases) -> pa.Table:
+    """``t`` (in sort order) with each spec's column: ``base + 1 + Σ
+    weights of the earlier rows of t``."""
+    if not t.num_rows:
+        return _with_empty(t, [rc for rc, _wc in specs])
+    for (rc, wc), base in zip(specs, bases):
+        if wc is None:
+            local = np.arange(t.num_rows, dtype=np.int64)
+        else:
+            w = np.asarray(t[wc].combine_chunks()).astype(np.int64)
+            local = np.cumsum(w) - w
+        t = t.append_column(rc, pa.array(base + 1 + local))
+    return t
+
+
+def _add_prefix_max(t: pa.Table, value_col, out_col, base, exclusive) -> pa.Table:
+    """``t`` (in sort order) with the running max of ``value_col`` from the
+    carry-in ``base`` on; a row with nothing before it gets null."""
+    if not t.num_rows:
+        return _with_empty(t, [out_col])
+    v = np.asarray(t[value_col].combine_chunks().cast(pa.int64()))
+    if exclusive:
+        v = np.concatenate(([I64MIN], v[:-1]))
+    run = np.maximum.accumulate(np.maximum(v, base))
+    miss = run == I64MIN
+    return t.append_column(
+        out_col, pa.array(np.where(miss, 0, run), pa.int64(), mask=miss)
+    )
+
+
+def _scans_task(keys, descending, specs, *blocks):
+    if blocks:
+        t = _sorted(_concat(blocks), keys, descending)
+        yield _add_scans(t, specs, [0] * len(specs))
+
+
+def _prefix_max_task(keys, value_col, out_col, exclusive, *blocks):
+    if blocks:
+        t = _sorted(_concat(blocks), keys, [False] * len(keys))
+        yield _add_prefix_max(t, value_col, out_col, I64MIN, exclusive)
 
 
 def with_global_rank(
@@ -60,82 +178,52 @@ def with_global_scans(
     descending: list[bool],
     specs: list[tuple[str, str | None]],
 ):
-    """Several exact global prefix scans over ONE range-partitioned sort.
+    """Several exact global prefix scans over ONE sort.
 
     ``specs`` is a list of ``(rank_col, weight_col | None)``: each entry
     adds a column holding ``1 + Σ weights of strictly-smaller rows``
     (``None`` weight = plain row numbering). One sort, one O(#blocks)
     driver scan for ALL specs — e.g. a sweep line needs BOTH the signed
     running level (weighted) and a dense adjacency rank (unweighted)."""
+    ds, nbytes = sized(ds)
+    if one_block(nbytes):
+        refs = ds.to_arrow_refs()
+        return one_task_dataset(_scans_task, keys, descending, specs, *refs)
     s = ds.sort(keys, descending=descending).materialize()
 
-    def block_stat(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    **{k: t[k].slice(0, 0) for k in keys},
-                    **{
-                        f"__cnt{i}": pa.array([], pa.int64())
-                        for i in range(len(specs))
-                    },
-                }
+    def count(t: pa.Table) -> dict:
+        return {
+            f"__cnt{i}": pa.array(
+                [t.num_rows if wc is None
+                 else int(np.asarray(t[wc].combine_chunks()).sum())],
+                pa.int64(),
             )
-        cols = {k: t[k].slice(0, 1) for k in keys}
-        for i, (_rc, wc) in enumerate(specs):
-            cnt = (
-                t.num_rows
-                if wc is None
-                else int(np.asarray(t[wc].combine_chunks()).sum())
-            )
-            cols[f"__cnt{i}"] = pa.array([cnt], pa.int64())
-        return pa.table(cols)
+            for i, (_rc, wc) in enumerate(specs)
+        }
 
-    stats = s.map_batches(
-        block_stat, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # O(#blocks) rows
-    if not stats:
-        return s
-
-    import pandas as pd
-
-    sdf = pd.DataFrame(stats)
-    order = sdf.sort_values(
-        keys, ascending=[not d for d in descending], ignore_index=True
-    )
-    off_by_first: dict[tuple, tuple[int, ...]] = {}
-    per_spec_offsets = []
-    for i in range(len(specs)):
-        per_spec_offsets.append(
-            np.concatenate(
-                [[0], np.cumsum(order[f"__cnt{i}"].to_numpy(np.int64))[:-1]]
-            )
-        )
-    for j, row in enumerate(order[keys].itertuples(index=False)):
-        off_by_first[tuple(row)] = tuple(
-            int(per_spec_offsets[i][j]) for i in range(len(specs))
-        )
+    stats = _block_partials(s, keys, descending, count)
+    if stats is None:
+        return _empty_result(ds, [rc for rc, _wc in specs])
+    offsets = [
+        np.cumsum(np.asarray(stats[f"__cnt{i}"])) - np.asarray(stats[f"__cnt{i}"])
+        for i in range(len(specs))
+    ]
+    off_by_first = {
+        _row_key(stats, keys, j): [int(o[j]) for o in offsets]
+        for j in range(stats.num_rows)
+    }
 
     def add_rank(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            for rc, _wc in specs:
-                t = t.append_column(rc, pa.array([], pa.int64()))
-            return t
-        first = tuple(t[k][0].as_py() for k in keys)
+            return _with_empty(t, [rc for rc, _wc in specs])
+        first = _row_key(t, keys, 0)
         if first not in off_by_first:
             # batching diverged between the two passes — fail loudly
             # rather than emit wrong ranks
             raise RuntimeError(
                 f"global-rank block boundary drift: no offset for {first}"
             )
-        bases = off_by_first[first]
-        for (rc, wc), base in zip(specs, bases):
-            if wc is None:
-                local = np.arange(t.num_rows, dtype=np.int64)
-            else:
-                w = np.asarray(t[wc].combine_chunks()).astype(np.int64)
-                local = np.concatenate(([0], np.cumsum(w)[:-1]))
-            t = t.append_column(rc, pa.array(base + 1 + local))
-        return t
+        return _add_scans(t, specs, off_by_first[first])
 
     return s.map_batches(
         add_rank, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
@@ -168,8 +256,6 @@ def neighbor_pairs(
     Requires ``window < bucket_size``. Output columns:
     ``<c>_a`` / ``<c>_b`` for every carry column.
     """
-    from .keyed import map_partitions_by_key
-
     if window >= bucket_size:
         raise ValueError("window must be < bucket_size")
 
@@ -254,84 +340,53 @@ def with_global_prefix_max(
     exclusive: bool = True,
 ):
     """Exact global running MAX of ``value_col`` (int64-castable) in
-    total ``keys`` order — the distributed streaming-scan primitive
-    behind watermark semantics (``max event-time seen so far`` in
-    arrival order).
+    total ascending ``keys`` order — the distributed streaming-scan
+    primitive behind watermark semantics (``max event-time seen so far``
+    in arrival order).
 
-    Same two-pass block-offset shape as :func:`with_global_scans`: one
-    range-partitioned sort, per-block (first-key, block max) partials
-    collected to the driver (O(#blocks)), an exclusive driver prefix-max
-    across blocks, then a per-block ``np.maximum.accumulate`` with the
-    broadcast carry-in. ``exclusive=True`` gives each row the max over
-    STRICTLY EARLIER rows (the first row gets int64 min → emitted as
-    null), matching ``MAX(v) OVER (ORDER BY keys ROWS BETWEEN UNBOUNDED
-    PRECEDING AND 1 PRECEDING)``. ``keys`` must be a candidate key so
-    each block's first-row identity is unique."""
+    ``exclusive=True`` gives each row the max over STRICTLY EARLIER rows
+    (the first row gets int64 min → emitted as null), matching ``MAX(v)
+    OVER (ORDER BY keys ROWS BETWEEN UNBOUNDED PRECEDING AND 1
+    PRECEDING)``. ``keys`` must be a candidate key so each block's
+    first-row identity is unique. Same plans as
+    :func:`with_global_scans`; the large one collects per-block (first
+    key, block max) partials, takes an exclusive driver prefix-max
+    across blocks and runs a per-block ``np.maximum.accumulate`` from
+    the broadcast carry-in."""
+    ds, nbytes = sized(ds)
+    if one_block(nbytes):
+        refs = ds.to_arrow_refs()
+        return one_task_dataset(
+            _prefix_max_task, keys, value_col, out_col, exclusive, *refs
+        )
+    descending = [False] * len(keys)
     s = ds.sort(keys).materialize()
-    I64MIN = np.iinfo(np.int64).min
 
-    def block_stat(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    **{k: t[k].slice(0, 0) for k in keys},
-                    "__mx": pa.array([], pa.int64()),
-                }
-            )
+    def block_max(t: pa.Table) -> dict:
         v = np.asarray(t[value_col].combine_chunks().cast(pa.int64()))
-        return pa.table(
-            {
-                **{k: t[k].slice(0, 1) for k in keys},
-                "__mx": pa.array([int(v.max())], pa.int64()),
-            }
-        )
+        return {"__mx": pa.array([int(v.max())], pa.int64())}
 
-    stats = s.map_batches(
-        block_stat, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).take_all()  # O(#blocks) rows
-    if not stats:
-        # schema-complete empty result: downstream consumers rely on
-        # out_col existing
-        return s.map_batches(
-            lambda t: t.append_column(
-                out_col, pa.nulls(t.num_rows, pa.int64())
-            ),
-            batch_size=None,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    import pandas as pd
-
-    sdf = pd.DataFrame(stats).sort_values(keys, ignore_index=True)
-    mx = sdf["__mx"].to_numpy(np.int64)
+    stats = _block_partials(s, keys, descending, block_max)
+    if stats is None:
+        return _empty_result(ds, [out_col])
+    mx = np.asarray(stats["__mx"])
     carry = np.concatenate(
         ([I64MIN], np.maximum.accumulate(mx)[:-1])
     )  # exclusive across blocks
     carry_by_first = {
-        tuple(row): int(carry[j])
-        for j, row in enumerate(sdf[keys].itertuples(index=False))
+        _row_key(stats, keys, j): int(carry[j]) for j in range(stats.num_rows)
     }
 
     def add_scan(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.int64()))
-        first = tuple(t[k][0].as_py() for k in keys)
+            return _with_empty(t, [out_col])
+        first = _row_key(t, keys, 0)
         if first not in carry_by_first:
             raise RuntimeError(
                 f"global-scan block boundary drift: no carry for {first}"
             )
-        base = carry_by_first[first]
-        v = np.asarray(t[value_col].combine_chunks().cast(pa.int64()))
-        if exclusive:
-            shifted = np.concatenate(([I64MIN], v[:-1]))
-            run = np.maximum.accumulate(np.maximum(shifted, base))
-        else:
-            run = np.maximum.accumulate(np.maximum(v, base))
-        miss = run == I64MIN
-        return t.append_column(
-            out_col, pa.array(np.where(miss, 0, run), pa.int64(), mask=miss)
+        return _add_prefix_max(
+            t, value_col, out_col, carry_by_first[first], exclusive
         )
 
     return s.map_batches(

@@ -16,14 +16,23 @@ input of one block under the sized-read rule (``sources.reads.one_block``:
 ``__part`` with :func:`add_partition_col`, cuts the table with
 :func:`split_by_partition` into the same partitions the exchange would
 form, and calls the same per-partition function on each, in ascending
-order. The stream job (``pipelines/medallion.run_stream``) and
-:func:`map_partitions_by_key` / :func:`cogroup_by_key` (and so
-:func:`fold_by_keys`) all follow it. A stage learns its input's size from
-Ray's metadata when Ray knows it without running the plan
-(:func:`_bytes_hint`); otherwise it materializes the input and reads the
-exact size, and a larger input is exchanged from that materialized
-dataset, so nothing upstream runs twice. The one task's output is the
-result Dataset's one block; it never passes through the driver.
+order. These follow it:
+
+- the stream job (``pipelines/medallion.run_stream``) and the daily build;
+- :func:`map_partitions_by_key` and :func:`cogroup_by_key` (and so
+  :func:`fold_by_keys`), connected components (``stages/graph.py``) and
+  the skew join (``stages/skewjoin.py``);
+- :func:`sum_partials`, whose one task folds with pyarrow ``group_by``
+  instead of ``groupby().aggregate`` + ``repartition(1)``;
+- the global order (``stages/globalorder.py``), whose one task sorts with
+  ``pc.sort_indices`` instead of ``Dataset.sort`` and scans directly.
+
+A stage learns its input's size from Ray's metadata when Ray knows it
+without running the plan (:func:`_bytes_hint`); otherwise it materializes
+the input and reads the exact size, and a larger input is exchanged from
+that materialized dataset, so nothing upstream runs twice. The one task's
+output is the result Dataset's one block; it never passes through the
+driver.
 
 Scale note: P should be ~2-4x total cluster cores and sized so one
 partition (~rows/P) fits a worker heap; at 100 TB that is P ~ 1e5-1e6 —
@@ -365,6 +374,53 @@ def fold_by_keys(
         return pa.table(out)
 
     return map_partitions_by_key(ds, part_key, fold, num_parts=num_parts)
+
+
+def _sum_finish_task(keys, sums, finish, *blocks):
+    """:func:`sum_partials` of a one-block input: the fold and ``finish``
+    in one task. Yields nothing when no block has a schema, as the
+    exchange then has no rows to finish."""
+    t = _concat(blocks) if blocks else pa.table({})
+    if not all(c in t.column_names for c in [*keys, *sums]):
+        return
+    folded = t.group_by(keys, use_threads=False).aggregate(
+        [(c, "sum") for c in sums]
+    )
+    yield finish(pa.table(
+        {**{k: folded[k] for k in keys},
+         **{out: folded[f"{c}_sum"] for c, out in sums.items()}}
+    ))
+
+
+def sum_partials(
+    ds,
+    keys: list[str],
+    sums: dict[str, str],
+    finish: Callable[[pa.Table], pa.Table],
+):
+    """Sum partials by a SMALL key set, then ``finish`` the whole folded
+    table in one call: the fold of per-batch partials over a domain that
+    does not grow with the data (pair alphabet, embedding dims).
+    ``sums`` maps each value column to its output name; the folded table
+    holds ``keys`` and those outputs, as ``groupby(keys).aggregate(Sum)``
+    names them. A high-cardinality fold belongs in :func:`fold_by_keys`.
+
+    An input of one block is folded with pyarrow ``group_by`` and
+    finished in one Ray task. A larger one takes Ray's
+    ``groupby().aggregate(Sum)``, then ``repartition(1)`` and ``finish``
+    on the single block."""
+    from ray.data.aggregate import Sum
+
+    ds, nbytes = sized(ds)
+    if one_block(nbytes):
+        refs = ds.to_arrow_refs()
+        return one_task_dataset(_sum_finish_task, keys, sums, finish, *refs)
+    folded = ds.groupby(keys).aggregate(
+        *[Sum(c, alias_name=out) for c, out in sums.items()]
+    )
+    return folded.repartition(1).map_batches(
+        finish, batch_format="pyarrow", batch_size=None
+    )
 
 
 def fold_sum_by_keys(

@@ -102,6 +102,10 @@ def skew_aware_join(
     right, rb = sized(right)
     # capture schemas up front: filtered-to-empty sides lose theirs
     l_schema, r_schema = left.schema(), right.schema()
+    if l_schema is None or r_schema is None:
+        # Ray drops the schema of an all-empty dataset after a repartition
+        # or map_batches; an inner join with an empty side has no rows
+        return left if l_schema is None else right
 
     hot_keys = [] if one_block(lb + rb) else detect_hot_keys(left, key, hot_threshold)
     if len(hot_keys) == 0:

@@ -16,7 +16,8 @@ each Arrow partition table instead of per record:
 
 Rejected rows are quarantined under ``online/_errors/part=*/`` — the
 reference only counts them; keeping the rows means a fixed producer can
-re-put instead of re-deriving. Accepted rows are written atomically with
+re-put instead of re-deriving. Accepted rows are upserted into the
+partition's online file, written atomically with
 a bounded exponential-backoff retry (the local analog of the put API's
 throttling retry); a partition whose write still fails after retries is
 counted entirely as errors, mirroring ``error_count += len(batch)`` on a
@@ -60,6 +61,22 @@ def validate_online(tbl: pa.Table) -> tuple[pa.Table, pa.Table]:
     return tbl.filter(keep), tbl.filter(pc.invert(keep))
 
 
+def _upsert(dest: str, rows: pa.Table) -> pa.Table:
+    """The online file at ``dest`` with ``rows``' conversations replaced."""
+    if not F.exists(dest):
+        return rows
+    old = F.read_table(dest)
+    kept = old.filter(
+        pc.invert(
+            pc.is_in(
+                old["conv_id"].combine_chunks(),
+                value_set=rows["conv_id"].combine_chunks(),
+            )
+        )
+    )
+    return pa.concat_tables([kept, rows], promote_options="default")
+
+
 def put_partition(
     tbl: pa.Table,
     online_root: str,
@@ -69,12 +86,16 @@ def put_partition(
     max_retries: int = 2,
     sleep=None,
 ) -> dict:
-    """Validate + upsert one hash partition of the online table.
+    """Validate this run's rows ``tbl`` (each touched conversation's
+    latest row) and upsert the accepted ones into one hash partition of
+    the online table: an accepted row replaces its conversation's stored
+    row, untouched conversations persist.
 
-    Returns ``{"success": n, "errors": n}`` like the reference's
-    ``batch_put_records``. Runs inside the per-partition step, which
-    stores the tallies in the partition's run record (``state.arrow``)
-    and returns them to ``run_stream`` — no extra driver pass."""
+    Returns ``{"success": n, "errors": n}`` over ``tbl``'s rows like the
+    reference's ``batch_put_records``. Runs inside the per-partition
+    step, which stores the tallies in the partition's run record
+    (``state.arrow``) and returns them to ``run_stream`` — no extra
+    driver pass."""
     import time as _time
 
     sleep = sleep or _time.sleep
@@ -99,10 +120,11 @@ def put_partition(
     dest = F.join(online_root, f"part={key}", "data.parquet")
     n_ok = ok_tbl.num_rows
     if n_ok:
+        merged = _upsert(dest, ok_tbl)
         last_exc = None
         for attempt in range(max_retries + 1):
             try:
-                _write_table(ok_tbl, dest)
+                _write_table(merged, dest)
                 last_exc = None
                 break
             except OSError as exc:  # transient-put analog

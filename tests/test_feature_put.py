@@ -121,3 +121,49 @@ def test_run_stream_reports_put_summary(ray_session, bronze_dir, tmp_path):
     online = read_online(out)
     assert res["online"]["errors"] == 0
     assert res["online"]["success"] == online.num_rows > 0
+
+
+def test_put_counts_only_the_runs_rows(tmp_path):
+    """Run 2 touches one of the partition's three conversations: its
+    record counts that one put, and the online file still holds all
+    three conversations."""
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
+        incremental as I,
+    )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
+        normalize_bronze,
+        read_online,
+    )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources.transcripts import (
+        generate_transcripts,
+    )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
+        GoldConfig,
+    )
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed import (
+        add_partition_col,
+    )
+
+    bronze = generate_transcripts(n_convs=3, avg_turns=6, seed=5)
+    conv = np.asarray(bronze["conv_id"].to_pylist(), dtype=object)
+    turn = np.asarray(bronze["turn_idx"])
+    last = (conv == conv[0]) & (turn == turn[conv == conv[0]].max())
+    assert len(set(conv)) == 3 and (conv == conv[0]).sum() > 1
+    out = str(tmp_path / "lake")
+
+    def run(tbl, run_id):
+        t = normalize_bronze(tbl, processed_at="2024-02-01T00:00:00")
+        rec = I.process_partition_incremental(
+            add_partition_col(t, "conv_id", 1),
+            silver_root=os.path.join(out, "silver"),
+            gold_root=os.path.join(out, "gold"),
+            online_root=os.path.join(out, "online"),
+            state_root=os.path.join(out, "state"),
+            cfg=GoldConfig(dedup=False),
+            run_id=run_id,
+        )
+        return rec.to_pylist()[0]
+
+    assert run(bronze.filter(pa.array(~last)), "r1")["put_success"] == 3
+    assert run(bronze.filter(pa.array(last)), "r2")["put_success"] == 1
+    assert sorted(read_online(out)["conv_id"].to_pylist()) == sorted(set(conv))
