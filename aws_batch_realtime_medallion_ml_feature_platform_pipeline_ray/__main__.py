@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     d.add_argument("--processed-at", default=None)
     d.set_defaults(fn=cmd_build_datasets)
 
-    b = sub.add_parser("bootstrap", help="register layer schemas + empty online table")
+    b = sub.add_parser("bootstrap", help="register layer schemas")
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_bootstrap)
 

@@ -8,22 +8,27 @@ carried across RUNS, new turns processed against a bounded window of
 carried rows instead of the partition's whole history.
 
 Per hash partition the state is one LZ4-compressed Arrow IPC file,
-``state/part=*/state.arrow``:
+``state/part=*/state.arrow``, in the gold layout plus ``n_chars`` and
+``max_turn``:
 - its rows are each conversation's trailing ``Δmax`` (= longest window,
   7 d) of silver rows: exactly the context any future row's trailing
-  window can reach. O(active window per conv), never O(history). A row
-  keeps ``n_chars`` (int32) in place of ``text``: the kernel reads a
-  context row's text only through its length, and ``_classify`` and the
-  ``lead1_ts`` patch read keys and ``ts`` alone;
+  window can reach. O(active window per conv), never O(history). Every
+  row holds the window columns (keys, ``role``, ``tool``, ``ts``) and
+  ``n_chars`` (int32): the kernel reads a context row's text only
+  through its length, and ``_classify`` and the ``lead1_ts`` patch read
+  keys and ``ts`` alone;
 - each conversation's latest row (max ``ts``, then max ``turn_idx`` —
-  the row ``latest_per_conv`` picks from its gold) also carries the
-  cumulative session-break count (``b_prior``), the open-session run
-  length (``trail_in``) and the highest ``turn_idx`` emitted
-  (``max_turn``); the other rows hold nulls there. The window always
-  holds that row, so its ``ts`` is the conversation's ``last_ts`` and its
-  key is the gold row whose ``lead1_ts`` the conversation's next turns
-  repair in place. This is irreducible watermark METADATA (3 ints per
-  conversation — the streaming analog of a per-key watermark store);
+  the row ``latest_per_conv`` picks from its gold) also holds the rest
+  of its gold row: ``text``, ``dt``, ``event_time``, the features,
+  ``lag1_ts``, ``lead1_ts``, ``gap_s``, ``session_id`` and
+  ``session_turn_idx``, plus the highest ``turn_idx`` emitted
+  (``max_turn``); the other rows hold nulls there. That row is the
+  conversation's online row (S7): ``medallion.read_online`` and
+  ``lookup_online`` read it from here. The window always holds it, so
+  its ``ts`` is the conversation's ``last_ts``, its key is the gold row
+  whose ``lead1_ts`` the conversation's next turns repair in place, and
+  one past its ``session_id``/``session_turn_idx`` are the session
+  seeds (``b_prior``/``trail_in``) an extension starts from;
 - the schema metadata is the record of the run that wrote the file: its
   ``run_id``, the row count of each of the partition's gold ``dt=``
   files (``gold``), and its counts (``record``): silver rows in, out and
@@ -54,21 +59,26 @@ A run classifies the partition's new rows against the state:
 The full recompute is dedup + the gold kernel over the conversation's
 silver history — the per-entity blast radius of B12. A partition with no
 ``state.arrow`` (a new lake, or one written in an older state layout)
-takes it for every conversation. Both kinds go through ONE kernel call
-per partition-run (``medallion._gold_partition_bounded``): an extended
-conversation's window rows are context rows there, its latest row's
-``b_prior``/``trail_in`` seed its session numbering, and the next
-counters of every touched conversation come from its latest gold row.
+takes it for every conversation, and so does one whose ``state.arrow``
+was written before the state held the online rows (it has no ``text``).
+Both kinds go through ONE kernel call per partition-run
+(``medallion._gold_partition_bounded``): an extended conversation's
+window rows are context rows there, its latest row seeds its session
+numbering, and every touched conversation's next latest row is its
+latest gold row.
 
 Commit order; every step is idempotent, so rerunning a crashed
 ``run_id`` converges to the uninterrupted result:
 1. silver run file (``manifest.silver_file``), in the silver log once
    ``run_stream`` commits the run's record after every partition;
 2. ``dt=`` merges (``medallion.write_gold_partition``);
-3. online upsert;
-4. ``state.arrow`` rename (``_commit_state``), last. A partition whose
-   state names the run is done, and a rerun skips it and returns the
-   stored record.
+3. ``state.arrow`` rename (``_commit_state``), last: the window, the
+   online rows and the record at once. A partition whose state names
+   the run is done, and a rerun skips it and returns the stored record.
+
+Between 2 and 3, ``feature_put.put_partition`` validates the touched
+conversations' latest rows and quarantines the rejected ones under
+``online/_errors/``; the readers apply the same validation.
 
 Equivalence with one full-history run is tested by splitting bronze into
 several ingest windows (tests/test_incremental.py), late arrivals and
@@ -77,6 +87,7 @@ conflicting redeliveries included.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -85,7 +96,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schema as S
-from ..stages.featurize import N_CHARS_COL, GoldConfig, dedup_first
+from ..stages.featurize import N_CHARS_COL, GoldConfig, dedup_first, gold_schema
 from ..stages.keyed import PART_COL
 from ..state import feature_put as FP
 from ..state import fsio as F
@@ -102,14 +113,12 @@ from .medallion import (
 )
 
 _STATE_FILE = "state.arrow"
-_CARRY = ("b_prior", "trail_in", "max_turn")  # set on each conv's latest row
 _WINDOW_SCHEMA = pa.schema(
     [S.SILVER.field(c) for c in ("conv_id", "turn_idx", "role")]
     + [pa.field(N_CHARS_COL, pa.int32())]
     + [S.SILVER.field(c) for c in ("tool", "ts")]
 )
 _WINDOW_COLS = _WINDOW_SCHEMA.names
-_STATE_SCHEMA = pa.schema(list(_WINDOW_SCHEMA) + [pa.field(c, pa.int64()) for c in _CARRY])
 # a partition-run's record: stored in state.arrow, returned as its metrics
 # row (with the partition, its gold rows out and its wall times)
 _COUNTS = ("silver_rows_in", "silver_rows_out", "rows_rejected", "new_rows",
@@ -123,26 +132,40 @@ _METRICS_SCHEMA = pa.schema(
 )
 
 
-def _read_state(state_dir: str) -> tuple[pa.Table, dict]:
+@functools.cache
+def _state_columns(role_counts: tuple[str, ...]) -> pa.Schema:
+    """``state.arrow``'s columns: the gold layout, then ``n_chars`` and
+    ``max_turn``. The window columns are set on every row; the other
+    gold columns and ``max_turn`` only on each conversation's latest
+    row."""
+    return pa.schema(
+        list(gold_schema(role_counts))
+        + [pa.field(N_CHARS_COL, pa.int32()), pa.field("max_turn", pa.int64())]
+    )
+
+
+def _read_state(state_dir: str) -> tuple[pa.Table | None, dict]:
     """The partition's carried window rows and the record of the run that
-    wrote them (``run_id``, ``gold``, ``record``); no rows and ``{}`` when
-    there is no ``state.arrow``. A file written before runs kept a record
-    reads as zero counts."""
+    wrote them (``run_id``, ``gold``, ``record``); ``None`` and ``{}``
+    when there is no ``state.arrow``, or only one written before the
+    state held each conversation's online row (it has no ``text``)."""
     path = F.join(state_dir, _STATE_FILE)
     if not F.exists(path):
-        return _STATE_SCHEMA.empty_table(), {}
+        return None, {}
     tbl = F.read_ipc(path)
+    if "text" not in tbl.column_names:
+        return None, {}
     meta = tbl.schema.metadata
-    record = json.loads(meta[b"record"]) if b"record" in meta else dict.fromkeys(_COUNTS, 0)
     return tbl.replace_schema_metadata(None), {
         "run_id": meta[b"run_id"].decode(), "gold": json.loads(meta[b"gold"]),
-        "record": record,
+        "record": json.loads(meta[b"record"]),
     }
 
 
-def _state_schema(run_id: str, gold_rows: dict, record: dict) -> pa.Schema:
+def _state_schema(run_id: str, gold_rows: dict, record: dict,
+                  role_counts: tuple[str, ...] = GoldConfig.role_counts) -> pa.Schema:
     """``state.arrow``'s schema, the run's record as its metadata."""
-    return _STATE_SCHEMA.with_metadata({
+    return _state_columns(role_counts).with_metadata({
         "run_id": run_id,
         "gold": json.dumps(gold_rows, sort_keys=True),
         "record": json.dumps(record, sort_keys=True),
@@ -150,29 +173,28 @@ def _state_schema(run_id: str, gold_rows: dict, record: dict) -> pa.Schema:
 
 
 def _commit_state(state_dir: str, tbl: pa.Table) -> None:
-    """Commit point 4: write ``state.arrow`` under a temp name and rename
+    """Commit point 3: write ``state.arrow`` under a temp name and rename
     it into place."""
     F.write_ipc_atomic(tbl, F.join(state_dir, _STATE_FILE))
 
 
 def _latest_rows(window: pa.Table) -> pa.Table:
-    """Each conversation's latest window row: the one carrying its
-    summary."""
-    return window.filter(pc.is_valid(window["b_prior"]))
+    """Each conversation's latest window row, in the gold layout plus
+    ``max_turn``."""
+    return window.filter(pc.is_valid(window["max_turn"])).drop_columns([N_CHARS_COL])
 
 
-def _summary(latest: pa.Table) -> pa.Table:
-    """Per conversation: ``b_prior``, ``trail_in``, ``last_ts`` (µs) and
-    ``max_turn``, from its latest window row."""
-    return pa.table(
-        {
-            "conv_id": latest["conv_id"],
-            "b_prior": latest["b_prior"],
-            "trail_in": latest["trail_in"],
-            "last_ts": latest["ts"].cast(pa.int64()),
-            "max_turn": latest["max_turn"],
-        }
-    )
+def _online_rows(state_dir: str, conv_ids: pa.Array | None = None) -> pa.Table | None:
+    """The partition's online rows, unvalidated: each conversation's
+    latest state row in the gold layout, narrowed to ``conv_ids`` when
+    given; ``None`` when :func:`_read_state` finds no state."""
+    window, _ = _read_state(state_dir)
+    if window is None:
+        return None
+    latest = _latest_rows(window).drop_columns(["max_turn"])
+    if conv_ids is None:
+        return latest
+    return latest.filter(pc.is_in(latest["conv_id"], value_set=conv_ids))
 
 
 def process_partition_incremental(
@@ -185,7 +207,7 @@ def process_partition_incremental(
     cfg: GoldConfig,
     run_id: str,
 ) -> pa.Table:
-    """One partition, one run: the four commits of the module docstring.
+    """One partition, one run: the three commits of the module docstring.
     Returns the run's record as a metrics row, with the silver and gold
     wall times; a partition whose state already names the run returns
     the stored record, with null walls."""
@@ -197,6 +219,8 @@ def process_partition_incremental(
     window, state = _read_state(state_dir)
     if state.get("run_id") == run_id:  # committed before a crash: skip
         return _metrics(part, state["record"], state["gold"], None, None)
+    if window is None:
+        window = _state_columns(cfg.role_counts).empty_table()
 
     # S8 error accounting: count tagged validity rejects, then drop
     g = group.drop_columns([PART_COL])
@@ -215,10 +239,9 @@ def process_partition_incremental(
     # ---- gold rows: one kernel call extends the conversations past their
     # carried last_ts and recomputes the late ones ----
     t1 = time.perf_counter()
-    latest = _latest_rows(window)
-    summary = _summary(latest)
+    carried = _latest_rows(window)
     if state:
-        fresh, late_convs = _classify(g, window, summary)
+        fresh, late_convs = _classify(g, window, carried)
         extend = fresh.filter(
             pc.invert(pc.is_in(fresh["conv_id"], value_set=_str_array(late_convs)))
         )
@@ -233,11 +256,12 @@ def process_partition_incremental(
         clear_dts = set(pc.unique(hist["dt"]).to_pylist())
         hist = dedup_first(hist, KEY, ["ts", "ingest_ts"])
     gold_out = last_out = None
+    latest = carried
     if extend.num_rows or hist is not None:
         gold_out = _gold_partition_bounded(window, extend, hist, cfg)
         last_out = latest_per_conv(gold_out)
-        summary = _next_summary(summary, last_out, gold_out)
-    patches = _lead_patches(latest, extend) if extend.num_rows else None
+        latest = _next_latest(carried, last_out, gold_out)
+    patches = _lead_patches(carried, extend) if extend.num_rows else None
     recomputed = pc.unique(hist["conv_id"]) if hist is not None else _str_array(())
 
     # ---- 2. dt= merges ----
@@ -255,14 +279,16 @@ def process_partition_incremental(
         if n and (cutoff is None or dt >= cutoff)
     }
 
-    # ---- 3. online: upsert each touched conversation's latest row (S7),
-    # validated + retried with tallies (S8) ----
+    # ---- online puts: validate each touched conversation's latest row
+    # and quarantine the rejected ones (S8); the rows go online with the
+    # state ----
     put = {"success": 0, "errors": 0}
     if gold_out is not None and gold_out.num_rows:
         put = FP.put_partition(last_out, online_root, key, run_id=run_id)
 
-    # ---- 4. state: the trailing window with each conversation's summary
-    # on its latest row and the run's record, committed by one rename ----
+    # ---- 3. state: the trailing window with each conversation's online
+    # row on its latest row and the run's record, committed by one
+    # rename ----
     record = {
         "silver_rows_in": group.num_rows,
         "silver_rows_out": g.num_rows,
@@ -279,8 +305,8 @@ def process_partition_incremental(
     _commit_state(
         state_dir,
         _next_state(
-            window, extend, hist, recomputed, summary,
-            _state_schema(run_id, gold_rows, record),
+            window, extend, hist, recomputed, latest,
+            _state_schema(run_id, gold_rows, record, cfg.role_counts),
         ),
     )
     return _metrics(part, record, gold_rows, silver_wall, time.perf_counter() - t1)
@@ -304,9 +330,10 @@ def _str_array(values) -> pa.Array:
     return pa.array(sorted(values), pa.string())
 
 
-def _classify(new: pa.Table, window, summary: pa.Table) -> tuple[pa.Table, set]:
-    """Split a run's deduped rows against the carried state into (fresh
-    rows — keys the window does not hold, conversations to recompute)."""
+def _classify(new: pa.Table, window, latest: pa.Table) -> tuple[pa.Table, set]:
+    """Split a run's deduped rows against the carried state (``window``
+    and each conversation's ``latest`` row) into (fresh rows — keys the
+    window does not hold, conversations to recompute)."""
     late: set[str] = set()
     fresh = new
     if window.num_rows and new.num_rows:
@@ -321,11 +348,11 @@ def _classify(new: pa.Table, window, summary: pa.Table) -> tuple[pa.Table, set]:
         )
         late.update(pc.unique(new["conv_id"].combine_chunks().filter(diverged)).to_pylist())
         fresh = new.filter(pc.is_null(idx))
-    if fresh.num_rows and summary.num_rows:
+    if fresh.num_rows and latest.num_rows:
         conv = fresh["conv_id"].combine_chunks()
-        pos = pc.index_in(conv, value_set=summary["conv_id"].combine_chunks())
-        last_ts = pc.take(summary["last_ts"].combine_chunks(), pos)
-        max_turn = pc.take(summary["max_turn"].combine_chunks(), pos)
+        pos = pc.index_in(conv, value_set=latest["conv_id"].combine_chunks())
+        last_ts = pc.take(latest["ts"].combine_chunks().cast(pa.int64()), pos)
+        max_turn = pc.take(latest["max_turn"].combine_chunks(), pos)
         # <= : an equal-ts peer sits inside already-emitted rows' trailing
         # RANGE windows (duplicate-ts peers included), so a tie must
         # re-derive those rows too
@@ -350,14 +377,6 @@ def _silver_history(silver_root: str, key: str, convs) -> pa.Table:
     return hist.filter(pc.is_in(hist["conv_id"], value_set=_str_array(convs)))
 
 
-def _replace_convs(summary: pa.Table, upd: pa.Table) -> pa.Table:
-    """``summary`` with ``upd``'s conversations replaced by its rows."""
-    kept = summary.filter(
-        pc.invert(pc.is_in(summary["conv_id"], value_set=upd["conv_id"].combine_chunks()))
-    )
-    return pa.concat_tables([kept, upd.select(kept.column_names).cast(kept.schema)])
-
-
 def _max_turn(tbl: pa.Table, conv: pa.Array) -> np.ndarray:
     """Highest ``turn_idx`` of each conversation in ``conv`` within ``tbl``."""
     mt = tbl.group_by("conv_id").aggregate([("turn_idx", "max")])
@@ -365,24 +384,20 @@ def _max_turn(tbl: pa.Table, conv: pa.Array) -> np.ndarray:
     return np.asarray(pc.take(mt["turn_idx_max"].combine_chunks(), pos).cast(pa.int64()))
 
 
-def _next_summary(summary: pa.Table, last: pa.Table, gold: pa.Table) -> pa.Table:
-    """``summary`` with each conversation of this run's ``gold`` replaced
-    by the counters of its latest gold row ``last``. ``max_turn`` needs
-    no maximum with the carried one: ``_classify`` sends a fresh turn at
-    or below it to the recompute."""
+def _next_latest(carried: pa.Table, last: pa.Table, gold: pa.Table) -> pa.Table:
+    """``carried`` (each conversation's latest row with ``max_turn``) with
+    each conversation of this run's ``gold`` replaced by its latest gold
+    row ``last``. ``max_turn`` needs no maximum with the carried one:
+    ``_classify`` sends a fresh turn at or below it to the recompute."""
     if not last.num_rows:
-        return summary
-    conv = last["conv_id"].combine_chunks()
-    upd = pa.table(
-        {
-            "conv_id": conv,
-            "b_prior": pc.add(last["session_id"].cast(pa.int64()), 1),
-            "trail_in": pc.add(last["session_turn_idx"].cast(pa.int64()), 1),
-            "last_ts": last["ts"].cast(pa.int64()),  # us since epoch
-            "max_turn": _max_turn(gold, conv),
-        }
+        return carried
+    upd = last.append_column(
+        "max_turn", pa.array(_max_turn(gold, last["conv_id"].combine_chunks()))
     )
-    return _replace_convs(summary, upd)
+    kept = carried.filter(
+        pc.invert(pc.is_in(carried["conv_id"], value_set=upd["conv_id"].combine_chunks()))
+    )
+    return pa.concat_tables([kept, upd.cast(kept.schema)])
 
 
 def _lead_patches(latest: pa.Table, extend: pa.Table) -> pa.Table:
@@ -405,10 +420,11 @@ def _window_rows(t: pa.Table) -> pa.Table:
     return pa.table(cols).cast(_WINDOW_SCHEMA)  # an all-null tool comes as null type
 
 
-def _next_state(window, extend, hist, recomputed, summary, schema) -> pa.Table:
+def _next_state(window, extend, hist, recomputed, latest, schema) -> pa.Table:
     """The partition's next ``state.arrow`` table: the rolled trailing
-    window and each conversation's summary on its latest row, under
-    ``schema`` (which carries the run's record)."""
+    window, each conversation's ``latest`` row (its online row and
+    ``max_turn``) on its latest window row, under ``schema`` (which
+    carries the run's record)."""
     # recomputed convs' window must reflect the DEDUPED truth (a
     # conflicting re-delivery may have changed the winning version)
     parts = [
@@ -438,17 +454,16 @@ def _next_state(window, extend, hist, recomputed, summary, schema) -> pa.Table:
     top = np.full(len(last), np.iinfo(np.int64).min, np.int64)
     np.maximum.at(top, codes[at_last], turn[at_last])
     is_latest = at_last & (turn == top[codes])
-    pos = pc.index_in(
+    pos = np.zeros(rows.num_rows, np.int64)
+    # to_numpy raises on a null: every conversation has a latest row
+    pos[is_latest] = pc.index_in(
         rows["conv_id"].combine_chunks().filter(pa.array(is_latest)),
-        value_set=summary["conv_id"].combine_chunks(),
-    )
-    carry = []
-    for c in _CARRY:
-        vals = np.zeros(rows.num_rows, np.int64)
-        # to_numpy raises on a null: every conversation has a summary
-        vals[is_latest] = pc.take(summary[c].combine_chunks(), pos).to_numpy()
-        carry.append(pa.array(vals, pa.int64(), mask=~is_latest))
-    return pa.Table.from_arrays(rows.columns + carry, schema=schema)
+        value_set=latest["conv_id"].combine_chunks(),
+    ).to_numpy()
+    take = pa.array(pos, mask=~is_latest)  # null index: null value
+    cols = [rows[f.name] if f.name in _WINDOW_COLS else latest[f.name].take(take)
+            for f in schema]
+    return pa.Table.from_arrays(cols, schema=schema)
 
 
 def run_stream_incremental(

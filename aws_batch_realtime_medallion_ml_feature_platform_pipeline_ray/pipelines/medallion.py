@@ -11,13 +11,14 @@ SURVEY.md §3.1) as:
 4. per partition (``incremental.process_partition_incremental``): append
    this run's silver rows, build gold for the run's turns against the
    partition's carried state, merge the rows into the partition's
-   ``gold/part=*/dt=*/data.parquet`` files, upsert the online table, and
-   commit the partition's new state, ``state/part=*/state.arrow``, last:
-   one Arrow IPC file holding the trailing window of text-free rows,
-   each conversation's carried counters and the partition-run's record,
-   renamed into place. ``run_stream`` builds the run's record from the
-   records the steps return and commits it last, as ``run-{id}.json``:
-   the silver log's entry for the run (``state/manifest.py``).
+   ``gold/part=*/dt=*/data.parquet`` files, and commit the partition's
+   new state, ``state/part=*/state.arrow``, last: one Arrow IPC file
+   holding the trailing window of text-free rows, each conversation's
+   latest gold row (its online row) and ``max_turn`` on its latest window
+   row, and the partition-run's record, renamed into place. ``run_stream``
+   builds the run's record from the records the steps return and commits
+   it last, as ``run-{id}.json``: the silver log's entry for the run
+   (``state/manifest.py``).
 
 The input's size on disk picks how steps 1-4 run. An input the sized
 read would make one block (``sources.reads.one_block``, at most
@@ -44,8 +45,14 @@ Unlike the reference — whose gold only sees the current window's slice,
 silently truncating 24h/7d features (silver_and_gold.py:200-207) — gold
 here always equals a computation over full history (SURVEY.md §7.3).
 
+The online table (S7) is a projection of the states: :func:`read_online`
+and :func:`lookup_online` read ``state.arrow`` files, keep each
+conversation's latest row and apply the put validation
+(``feature_put.validate_online``). ``online/`` holds only ``_meta.json``,
+which lookups route by, and the ``_errors/`` quarantine.
+
 Resume: a partition whose ``state.arrow`` names the run is skipped, and
-its stored record stands in for its step; every gold/online write is an
+its stored record stands in for its step; every gold write is an
 idempotent key-replace merge, so kill-and-rerun converges to the same
 outputs.
 """
@@ -372,9 +379,9 @@ def _gold_partition_bounded(
       alter earlier rows' aggregates and see all the context they need;
     - lag and the first new turn's session break need only the latest
       carried row, which the window always holds;
-    - session_id / session_turn_idx continue from the counters on that
-      row (``b_prior``, ``trail_in``), which seed the kernel's session
-      numbering.
+    - session_id / session_turn_idx continue from that row's own: one
+      past them are the kernel's session seeds (``b_prior``,
+      ``trail_in``).
 
     The caller repairs the previous last row's ``lead1_ts`` in place."""
     cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
@@ -382,10 +389,16 @@ def _gold_partition_bounded(
     if extend.num_rows:
         active = pc.unique(extend["conv_id"].combine_chunks())
         prefix = window.filter(pc.is_in(window["conv_id"], value_set=active))
-        prefix_cols = ["conv_id", "turn_idx", "role", N_CHARS_COL, "tool", "ts",
-                       "b_prior", "trail_in"]
-        parts += [_with_prefix(prefix.select(prefix_cols), 1),
-                  _with_prefix(extend.select(cols), 0)]
+        # the seeds continue the latest row's session: one past its
+        # session_id and session_turn_idx (null on the other rows)
+        seeds = {
+            "b_prior": pc.add(prefix["session_id"], 1),
+            "trail_in": pc.add(prefix["session_turn_idx"].cast(pa.int64()), 1),
+        }
+        prefix = prefix.select(["conv_id", "turn_idx", "role", N_CHARS_COL, "tool", "ts"])
+        for name, col in seeds.items():
+            prefix = prefix.append_column(name, col)
+        parts += [_with_prefix(prefix, 1), _with_prefix(extend.select(cols), 0)]
     if hist is not None:
         parts.append(_with_prefix(hist.select(cols), 0))
     tbl = pa.concat_tables(parts, promote_options="default")
@@ -726,8 +739,9 @@ def reconcile_lake(out_root: str, run_id: str | None = None) -> dict:
 
 def latest_per_conv(gold_tbl: pa.Table) -> pa.Table:
     """Latest feature row per conv_id (argmax ts, tiebreak max turn_idx) —
-    the typed-Parquet online table replacing the reference's stringified
-    feature-store upsert (silver_and_gold.py:147-162, S13)."""
+    the row each conversation's ``state.arrow`` keeps as its typed online
+    row, replacing the reference's stringified feature-store upsert
+    (silver_and_gold.py:147-162, S13)."""
     if gold_tbl.num_rows == 0:
         return gold_tbl
     conv = pc.dictionary_encode(gold_tbl["conv_id"].combine_chunks()).indices
@@ -831,24 +845,37 @@ def gold_snapshot(out_root: str, as_of: float, *, gold_cfg: GoldConfig | None = 
     return rd.from_arrow(gold_schema(cfg.role_counts).empty_table())
 
 
-def read_online(out_root: str) -> pa.Table:
-    files = sorted(F.glob(F.join(out_root, "online", "part=*", "data.parquet")))
-    if not files:  # pre-bootstrap / wiped lake: empty typed table
+def _online(parts, conv_ids: pa.Array | None = None) -> pa.Table:
+    """The validated online rows of the partitions' states
+    (``state/part=*/state.arrow`` directories ``parts``), narrowed to
+    ``conv_ids`` when given; a typed empty ``GOLD`` table when no state
+    holds any."""
+    from ..state.feature_put import validate_online
+    from .incremental import _online_rows
+
+    tables = [_online_rows(d, conv_ids) for d in parts]
+    tables = [t for t in tables if t is not None]
+    if not tables:  # pre-bootstrap / wiped lake: empty typed table
         return S.GOLD.empty_table()
-    return pa.concat_tables([F.read_table(f) for f in files])
+    return validate_online(pa.concat_tables(tables))[0]
+
+
+def read_online(out_root: str) -> pa.Table:
+    """The S7 online table: each conversation's latest gold row, which
+    its partition's ``state.arrow`` holds on its latest window row."""
+    return _online(sorted(F.glob(F.join(out_root, "state", "part=*"))))
 
 
 def lookup_online(out_root: str, conv_ids: list[str]) -> pa.Table:
     """S9 point/batch feature lookup (reference
     feature_store/ingest_features.py:107-143 get_record/batch_get_record):
     route each requested conv_id to its hash partition via the persisted
-    partitioning meta, read ONLY those partitions' files, and filter with
-    a vectorized ``pc.is_in``. Cost is O(|ids| / num_parts) files touched,
-    independent of lake size."""
+    partitioning meta, read ONLY those partitions' ``state.arrow`` files
+    (Arrow IPC), and filter with a vectorized ``pc.is_in``. Cost is
+    O(|ids| / num_parts) files touched, independent of lake size."""
     from ..stages.keyed import hash_key
 
-    online_root = F.join(out_root, "online")
-    meta_path = F.join(online_root, "_meta.json")
+    meta_path = F.join(out_root, "online", "_meta.json")
     if not F.exists(meta_path):  # before the lake's first run: no rows
         return S.GOLD.empty_table()
     with F.open_(meta_path) as f:
@@ -856,27 +883,19 @@ def lookup_online(out_root: str, conv_ids: list[str]) -> pa.Table:
     num_parts = int(meta["num_parts"])
     ids_arr = pa.array(conv_ids, pa.string())
     parts = np.unique(hash_key(ids_arr) % np.uint64(num_parts)).astype(np.int64)
-    tables = []
-    for p in parts:
-        f = F.join(online_root, f"part={int(p):05d}", "data.parquet")
-        if not F.exists(f):
-            continue
-        t = F.read_table(f)
-        tables.append(t.filter(pc.is_in(t["conv_id"], value_set=ids_arr)))
-    if not tables:
-        return S.GOLD.empty_table()
-    return pa.concat_tables(tables)
+    state_root = F.join(out_root, "state")
+    return _online([F.join(state_root, f"part={int(p):05d}") for p in parts], ids_arr)
 
 
 def bootstrap_lake(out_root: str) -> dict:
     """C7 feature-group bootstrap (reference
     feature_store/register_feature_groups.py:13-76 registers typed
     features and polls creation): write the canonical layer schemas as a
-    JSON manifest plus an empty typed online table, idempotently, so
-    downstream consumers can resolve types before any data lands. The
-    online partitioning (``online/_meta.json``) is written by the first
-    stream run, with the pinned ``num_parts``. Returns the registration
-    summary."""
+    JSON manifest, idempotently, so downstream consumers can resolve
+    types before any data lands. An empty lake already reads as a typed
+    empty online table. The online partitioning (``online/_meta.json``)
+    is written by the first stream run, with the pinned ``num_parts``.
+    Returns the registration summary."""
     layers = {"bronze": S.BRONZE, "silver": S.SILVER, "gold": S.GOLD}
     reg = {
         name: [{"name": f.name, "type": str(f.type)} for f in sch]
@@ -885,9 +904,4 @@ def bootstrap_lake(out_root: str) -> dict:
     F.makedirs(out_root, exist_ok=True)
     schema_path = F.join(out_root, "_schemas.json")
     F.write_text_atomic(schema_path, json.dumps(reg, indent=1))
-    # existence-guarded: re-running bootstrap on a populated lake must
-    # never wipe live online rows in partition 0
-    online_seed = F.join(out_root, "online", "part=00000", "data.parquet")
-    if not F.exists(online_seed):
-        M.atomic_write_table(S.GOLD.empty_table(), online_seed)
     return {"schemas": schema_path, "layers": sorted(reg), "status": "Created"}

@@ -27,8 +27,11 @@ weighted ranks and running maxima, under the size rule of
   ``materialize`` is inherent to rank assignment (a scan barrier, like
   the sort itself); blocks live in the object store and spill, never on
   one node. Ray's range partitioning places null and NaN keys
-  inconsistently when they sort descending or share one sort, so the
-  large plan needs keys free of them for those orders.
+  inconsistently, so ``Dataset.sort`` never sees them: it sorts on two
+  helper columns per key (:func:`_with_order_cols`), a class (value,
+  NaN, null; always ascending) and the value with NaN and null replaced
+  by one constant, in the key's direction. That is the one-block order,
+  and the helpers are dropped again in pass 4.
 
 An empty input gives its columns plus the scan columns, with zero rows,
 on both plans.
@@ -60,6 +63,52 @@ def _sorted(t: pa.Table, keys: list[str], descending: list[bool]) -> pa.Table:
     if not t.num_rows:
         return t
     return t.take(pc.sort_indices(t, sort_keys=_sort_keys(keys, descending)))
+
+
+def _filler(typ: pa.DataType) -> pa.Scalar:
+    """One constant of ``typ`` to stand in for every null or NaN key."""
+    for zero in (pa.array([0]), pa.array([0], pa.int32()), pa.array([0], pa.int8()),
+                 pa.array([""])):
+        try:
+            return zero.cast(typ)[0]
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+            continue
+    raise TypeError(f"no sort stand-in for null keys of type {typ}")
+
+
+def _with_order_cols(t: pa.Table, keys: list[str]) -> pa.Table:
+    """``t`` plus, per key ``i``, ``__ocls{i}`` (0 value, 1 NaN, 2 null)
+    and ``__oval{i}`` (the value, NaN and null replaced by a constant):
+    sorting on them, the class ascending and the value in the key's
+    direction, gives the one-block order without a null or NaN key."""
+    for i, k in enumerate(keys):
+        col = t[k]
+        null = pc.is_null(col)
+        cls = pc.if_else(null, np.int8(2), np.int8(0))
+        if pa.types.is_floating(col.type):
+            nan = pc.fill_null(pc.is_nan(col), False)
+            cls = pc.if_else(nan, np.int8(1), cls)
+            null = pc.or_(null, nan)
+        t = t.append_column(f"__ocls{i}", cls)
+        t = t.append_column(f"__oval{i}", pc.if_else(null, _filler(col.type), col))
+    return t
+
+
+def _sort_exchanged(ds, keys: list[str], descending: list[bool]):
+    """``ds`` sorted by ``keys`` through ``Dataset.sort`` on the order
+    columns of :func:`_with_order_cols` (still attached), materialized."""
+    order, desc = [], []
+    for i, d in enumerate(descending):
+        order += [f"__ocls{i}", f"__oval{i}"]
+        desc += [False, d]
+    return ds.map_batches(
+        lambda t: _with_order_cols(t, keys), batch_format="pyarrow", zero_copy_batch=True
+    ).sort(order, descending=desc).materialize()
+
+
+def _drop_order_cols(t: pa.Table, keys: list[str]) -> pa.Table:
+    cols = {f"__o{c}{i}" for i in range(len(keys)) for c in ("cls", "val")}
+    return t.drop_columns([c for c in t.column_names if c in cols])
 
 
 def _row_key(t: pa.Table, keys: list[str], i: int) -> tuple:
@@ -189,7 +238,7 @@ def with_global_scans(
     if one_block(nbytes):
         refs = ds.to_arrow_refs()
         return one_task_dataset(_scans_task, keys, descending, specs, *refs)
-    s = ds.sort(keys, descending=descending).materialize()
+    s = _sort_exchanged(ds, keys, descending)
 
     def count(t: pa.Table) -> dict:
         return {
@@ -214,6 +263,7 @@ def with_global_scans(
     }
 
     def add_rank(t: pa.Table) -> pa.Table:
+        t = _drop_order_cols(t, keys)
         if t.num_rows == 0:
             return _with_empty(t, [rc for rc, _wc in specs])
         first = _row_key(t, keys, 0)
@@ -360,7 +410,7 @@ def with_global_prefix_max(
             _prefix_max_task, keys, value_col, out_col, exclusive, *refs
         )
     descending = [False] * len(keys)
-    s = ds.sort(keys).materialize()
+    s = _sort_exchanged(ds, keys, descending)
 
     def block_max(t: pa.Table) -> dict:
         v = np.asarray(t[value_col].combine_chunks().cast(pa.int64()))
@@ -378,6 +428,7 @@ def with_global_prefix_max(
     }
 
     def add_scan(t: pa.Table) -> pa.Table:
+        t = _drop_order_cols(t, keys)
         if t.num_rows == 0:
             return _with_empty(t, [out_col])
         first = _row_key(t, keys, 0)

@@ -16,12 +16,18 @@ each Arrow partition table instead of per record:
 
 Rejected rows are quarantined under ``online/_errors/part=*/`` — the
 reference only counts them; keeping the rows means a fixed producer can
-re-put instead of re-deriving. Accepted rows are upserted into the
-partition's online file, written atomically with
-a bounded exponential-backoff retry (the local analog of the put API's
-throttling retry); a partition whose write still fails after retries is
-counted entirely as errors, mirroring ``error_count += len(batch)`` on a
-batch exception (ingest_features.py:92-94).
+re-put instead of re-deriving. The quarantine write gets a bounded
+exponential-backoff retry (the local analog of the put API's throttling
+retry) and never aborts the step.
+
+The accepted rows need no write of their own: each conversation's online
+row is its latest row in the partition's ``state.arrow``
+(``pipelines/incremental.py``), committed with the state, and the
+readers (``medallion.read_online``, ``lookup_online``) apply
+:func:`validate_online` to it. Whether a row passes depends only on its
+``conv_id`` (silver rejects a null ``ts``, and ``event_time`` is derived
+from ``ts``), so validating on read accepts the same rows as validating
+on put.
 """
 
 from __future__ import annotations
@@ -61,22 +67,6 @@ def validate_online(tbl: pa.Table) -> tuple[pa.Table, pa.Table]:
     return tbl.filter(keep), tbl.filter(pc.invert(keep))
 
 
-def _upsert(dest: str, rows: pa.Table) -> pa.Table:
-    """The online file at ``dest`` with ``rows``' conversations replaced."""
-    if not F.exists(dest):
-        return rows
-    old = F.read_table(dest)
-    kept = old.filter(
-        pc.invert(
-            pc.is_in(
-                old["conv_id"].combine_chunks(),
-                value_set=rows["conv_id"].combine_chunks(),
-            )
-        )
-    )
-    return pa.concat_tables([kept, rows], promote_options="default")
-
-
 def put_partition(
     tbl: pa.Table,
     online_root: str,
@@ -87,9 +77,8 @@ def put_partition(
     sleep=None,
 ) -> dict:
     """Validate this run's rows ``tbl`` (each touched conversation's
-    latest row) and upsert the accepted ones into one hash partition of
-    the online table: an accepted row replaces its conversation's stored
-    row, untouched conversations persist.
+    latest row) for one hash partition and quarantine the rejected ones
+    under ``online/_errors/part={key}/``.
 
     Returns ``{"success": n, "errors": n}`` over ``tbl``'s rows like the
     reference's ``batch_put_records``. Runs inside the per-partition
@@ -99,13 +88,12 @@ def put_partition(
     import time as _time
 
     sleep = sleep or _time.sleep
-    ok_tbl, err_tbl = validate_online(tbl)
+    _ok, err_tbl = validate_online(tbl)
 
     if err_tbl.num_rows:
         err_name = f"run-{run_id}.parquet" if run_id else "data.parquet"
-        # the quarantine write gets the same retry + no-abort treatment
-        # as the main put: a transient failure here must not kill the
-        # partition task (the rows are already counted as errors)
+        # a transient failure here must not kill the partition task (the
+        # rows are already counted as errors)
         for attempt in range(max_retries + 1):
             try:
                 _write_table(
@@ -116,23 +104,4 @@ def put_partition(
             except OSError:
                 if attempt < max_retries:
                     sleep(_no_sleep_backoff(attempt))
-
-    dest = F.join(online_root, f"part={key}", "data.parquet")
-    n_ok = ok_tbl.num_rows
-    if n_ok:
-        merged = _upsert(dest, ok_tbl)
-        last_exc = None
-        for attempt in range(max_retries + 1):
-            try:
-                _write_table(merged, dest)
-                last_exc = None
-                break
-            except OSError as exc:  # transient-put analog
-                last_exc = exc
-                if attempt < max_retries:
-                    sleep(_no_sleep_backoff(attempt))
-        if last_exc is not None:
-            # whole batch becomes errors (ingest_features.py:92-94)
-            return {"success": 0, "errors": tbl.num_rows}
-    return {"success": n_ok, "errors": err_tbl.num_rows}
-
+    return {"success": tbl.num_rows - err_tbl.num_rows, "errors": err_tbl.num_rows}

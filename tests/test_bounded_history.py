@@ -101,18 +101,27 @@ def _backfill(batches, tmp_path, name):
     return out
 
 
-def _read_tree(root, sub):
-    files = sorted(glob.glob(os.path.join(root, sub)))
-    t = pa.concat_tables([F.read_table(f) for f in files],
-                         promote_options="default")
+def _sorted_frame(t):
     df = t.to_pandas()
     cols = sorted(df.columns)
     return df[cols].sort_values(cols, ignore_index=True)
 
 
+def _gold_frame(root):
+    files = sorted(glob.glob(os.path.join(root, "gold/part=*/dt=*/data.parquet")))
+    return _sorted_frame(pa.concat_tables([F.read_table(f) for f in files],
+                                          promote_options="default"))
+
+
 def _assert_same_lake(a, b):
-    for sub in ("gold/part=*/dt=*/data.parquet", "online/part=*/data.parquet"):
-        pd.testing.assert_frame_equal(_read_tree(a, sub), _read_tree(b, sub))
+    """Same gold rows and the same online table. The online rows live in
+    the state files: no online Parquet file may exist."""
+    pd.testing.assert_frame_equal(_gold_frame(a), _gold_frame(b))
+    for lake in (a, b):
+        assert not glob.glob(os.path.join(lake, "online", "part=*"))
+    online = [_sorted_frame(medallion.read_online(lake)) for lake in (a, b)]
+    assert len(online[0]) > 0
+    pd.testing.assert_frame_equal(*online)
 
 
 def test_bounded_equals_full(batches, tmp_path, ray_session):

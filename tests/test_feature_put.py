@@ -27,22 +27,15 @@ def _tbl(n=6):
     )
 
 
-def test_put_all_valid(tmp_path):
-    root = str(tmp_path / "online")
-    res = FP.put_partition(_tbl(), root, "00000", run_id="r1")
-    assert res == {"success": 6, "errors": 0}
-    out = pq.read_table(os.path.join(root, "part=00000", "data.parquet"))
-    assert out.num_rows == 6
-    assert not glob.glob(os.path.join(root, "_errors", "**"), recursive=False)
-
-
-def test_put_rejects_and_quarantines(tmp_path):
+def _invalid_tbl():
+    """Six rows, four of which the store rejects: conv_0000 and conv_0005
+    pass."""
     t = _tbl(6).to_pydict()
     t["conv_id"][1] = None  # missing record identifier
     t["conv_id"][2] = ""  # empty record identifier
     t["ts"][3] = None  # missing timestamp
     t["event_time"][4] = float("nan")  # non-finite event time
-    tbl = pa.table(
+    return pa.table(
         {
             "conv_id": pa.array(t["conv_id"], pa.string()),
             "ts": pa.array(t["ts"], pa.timestamp("us")),
@@ -50,18 +43,33 @@ def test_put_rejects_and_quarantines(tmp_path):
             "turns_1h": pa.array(t["turns_1h"], pa.int64()),
         }
     )
+
+
+def test_put_all_valid(tmp_path):
+    """Accepted rows are counted, not written: the online row is
+    committed with the partition's state."""
     root = str(tmp_path / "online")
-    res = FP.put_partition(tbl, root, "00007", run_id="r2")
+    res = FP.put_partition(_tbl(), root, "00000", run_id="r1")
+    assert res == {"success": 6, "errors": 0}
+    assert not os.path.exists(root)
+
+
+def test_put_rejects_and_quarantines(tmp_path):
+    root = str(tmp_path / "online")
+    res = FP.put_partition(_invalid_tbl(), root, "00007", run_id="r2")
     assert res == {"success": 2, "errors": 4}
-    ok = pq.read_table(os.path.join(root, "part=00007", "data.parquet"))
-    assert ok["conv_id"].to_pylist() == ["conv_0000", "conv_0005"]
+    assert glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True) == [
+        os.path.join(root, "_errors", "part=00007", "run-r2.parquet")
+    ]
     err = pq.read_table(
         os.path.join(root, "_errors", "part=00007", "run-r2.parquet")
     )
-    assert err.num_rows == 4  # every rejected row kept for re-put
+    # every rejected row kept for re-put
+    assert err["conv_id"].to_pylist() == [None, "", "conv_0003", "conv_0004"]
 
 
 def test_put_retries_transient_failure(tmp_path, monkeypatch):
+    """A transient quarantine-write failure is retried after a backoff."""
     calls = {"n": 0}
     real = FP._write_table
 
@@ -75,23 +83,31 @@ def test_put_retries_transient_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(FP, "_write_table", flaky)
     root = str(tmp_path / "online")
     res = FP.put_partition(
-        _tbl(), root, "00000", run_id="r3", sleep=slept.append
+        _invalid_tbl(), root, "00000", run_id="r3", sleep=slept.append
     )
-    assert res == {"success": 6, "errors": 0}
+    assert res == {"success": 2, "errors": 4}
     assert calls["n"] == 2 and len(slept) == 1
-    assert pq.read_table(os.path.join(root, "part=00000", "data.parquet")).num_rows == 6
+    err = pq.read_table(os.path.join(root, "_errors", "part=00000", "run-r3.parquet"))
+    assert err.num_rows == 4
 
 
-def test_put_permanent_failure_counts_batch_as_errors(tmp_path, monkeypatch):
+def test_put_quarantine_failure_never_aborts(tmp_path, monkeypatch):
+    """A quarantine write that keeps failing gives up after its retries
+    without raising; the counts stand (reference ingest_features.py:92-94
+    never lets a failed batch abort the run)."""
+    calls = []
+
     def always_fail(tbl, path):
+        calls.append(path)
         raise OSError("down")
 
     monkeypatch.setattr(FP, "_write_table", always_fail)
     res = FP.put_partition(
-        _tbl(), str(tmp_path / "online"), "00000", max_retries=1, sleep=lambda s: None
+        _invalid_tbl(), str(tmp_path / "online"), "00000", run_id="r4",
+        max_retries=1, sleep=lambda s: None,
     )
-    # whole batch becomes errors, mirroring ingest_features.py:92-94
-    assert res == {"success": 0, "errors": 6}
+    assert res == {"success": 2, "errors": 4}
+    assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +141,7 @@ def test_run_stream_reports_put_summary(ray_session, bronze_dir, tmp_path):
 
 def test_put_counts_only_the_runs_rows(tmp_path):
     """Run 2 touches one of the partition's three conversations: its
-    record counts that one put, and the online file still holds all
+    record counts that one put, and the online table still holds all
     three conversations."""
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines import (
         incremental as I,

@@ -2,8 +2,9 @@
 re-deliveries leave gold untouched, conflicting re-deliveries (same
 key, different ts) trigger the late full-recompute and converge to the
 dedup contract, equal-ts ties route late, the state is one atomically
-renamed file with no text payload (and a partition that lost it takes
-the full recompute), and the partition layout is pinned."""
+renamed file whose only text is each conversation's online row (and a
+partition that lost it, or holds one in an older layout, takes the full
+recompute), and the partition layout is pinned."""
 
 import glob
 import json
@@ -22,6 +23,7 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.inc
     run_stream_incremental,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
+    read_online,
     read_silver_snapshot,
     run_stream,
 )
@@ -194,14 +196,18 @@ def test_state_pointer_atomic_and_textless(ray_session, tmp_path):
             t = pa.ipc.open_file(f).read_all()
         assert t.schema.metadata[b"run_id"] == b"r1"
         assert json.loads(t.schema.metadata[b"gold"])
-        # no text: window rows carry their length, and only each
-        # conversation's latest row carries its summary
-        assert "text" not in t.column_names
+        # window rows carry their text's length; only each
+        # conversation's latest row carries its text, its other gold
+        # columns (its online row) and max_turn
         assert t["n_chars"].to_pylist() == [len("hello world")] * t.num_rows
-        latest = t.filter(pc.is_valid(t["b_prior"]))
+        latest = t.filter(pc.is_valid(t["text"]))
         assert latest["conv_id"].to_pylist() == ["c1"]
         assert latest["turn_idx"].to_pylist() == [5]
+        assert latest["text"].to_pylist() == ["hello world"]
         assert latest["max_turn"].to_pylist() == [5]
+        assert latest["session_id"].is_valid().to_pylist() == [True]
+        assert t.filter(pc.is_valid(t["max_turn"])).num_rows == 1
+        assert t.filter(pc.is_valid(t["session_id"])).num_rows == 1
 
 
 def test_deleted_state_takes_full_recompute(ray_session, tmp_path):
@@ -258,6 +264,61 @@ def test_deleted_state_takes_full_recompute(ray_session, tmp_path):
         for k in (b"run_id", b"gold"):
             assert got[path][0][k] == meta[k]
         pd.testing.assert_frame_equal(got[path][1], rows)
+
+
+def _pre_online_state(path):
+    """Rewrite ``state.arrow`` at ``path`` in the layout written before the
+    state held each conversation's online row: the window columns, and
+    ``b_prior``/``trail_in``/``max_turn`` on each latest row."""
+    with pa.OSFile(path) as f:
+        t = pa.ipc.open_file(f).read_all()
+    old = t.select(["conv_id", "turn_idx", "role", "n_chars", "tool", "ts"])
+    old = old.append_column("b_prior", pc.add(t["session_id"], 1))
+    old = old.append_column(
+        "trail_in", pc.add(t["session_turn_idx"].cast(pa.int64()), 1))
+    old = old.append_column("max_turn", t["max_turn"])
+    old = old.replace_schema_metadata(t.schema.metadata)
+    with pa.OSFile(path, "wb") as f, pa.ipc.new_file(f, old.schema) as w:
+        w.write_table(old)
+
+
+def test_state_without_online_row_takes_full_recompute(ray_session, tmp_path):
+    """A ``state.arrow`` written before it held the online rows reads as
+    no state: its partition recomputes every conversation once, and gold
+    and the online table equal the lake that kept its state (c4 is
+    untouched after the first run, so its online row is a carried one)."""
+    wins = [
+        [_row("c1", i, 10 * i) for i in range(4)] + [_row("c2", 0, 5)]
+        + [_row("c4", i, 20 * i) for i in range(2)],
+        [_row("c1", i, 10 * i) for i in range(4, 7)] + [_row("c2", 1, 100)],
+        [_row("c1", 7, 200), _row("c2", 2, 150), _row("c3", 0, 160)],
+    ]
+    dirs = [_bronze(r, tmp_path, f"b{i}") for i, r in enumerate(wins)]
+    ref, out = str(tmp_path / "ref"), str(tmp_path / "lake")
+
+    def run(lake, i):
+        return run_stream(dirs[i], lake, run_id=f"r{i}", processed_at=PROCESSED_AT,
+                          num_parts=2)
+
+    for lake in (ref, out):
+        run(lake, 0)
+        run(lake, 1)
+    states = sorted(glob.glob(os.path.join(out, "state", "part=*", "state.arrow")))
+    assert len(states) == 2
+    _pre_online_state(states[0])
+    stripped = int(os.path.basename(os.path.dirname(states[0]))[5:])
+    run(ref, 2)
+    res = run(out, 2)
+
+    modes = {p["part"]: p["gold_mode"] for p in res["partition_records"]}
+    assert modes == {stripped: "full", 1 - stripped: "carried"}
+    _compare(_merged(out), _merged(ref))
+
+    def online(lake):
+        return read_online(lake).to_pandas().sort_values("conv_id", ignore_index=True)
+
+    assert online(ref)["conv_id"].tolist() == ["c1", "c2", "c3", "c4"]
+    pd.testing.assert_frame_equal(online(out), online(ref))
 
 
 def test_num_parts_layout_is_pinned(ray_session, tmp_path):

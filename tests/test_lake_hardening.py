@@ -236,11 +236,13 @@ def _crashed_run(monkeypatch, bronze, out, run_id, point):
 
 
 def _lake_digest(out):
-    """Every gold, online and state file's content, by relative path."""
-    got = {}
-    for sub in ("gold/part=*/dt=*/*.parquet", "online/part=*/*.parquet"):
-        for f in glob.glob(os.path.join(out, sub)):
-            got[os.path.relpath(f, out)] = pq.read_table(f)
+    """Every gold and state file's content, by relative path, and the
+    online table. The online rows live in the state files: no online
+    Parquet file may exist."""
+    assert not glob.glob(os.path.join(out, "online", "part=*"))
+    got = {"online": read_online(out)}
+    for f in glob.glob(os.path.join(out, "gold", "part=*", "dt=*", "*.parquet")):
+        got[os.path.relpath(f, out)] = pq.read_table(f)
     for f in glob.glob(os.path.join(out, "state", "part=*", "*")):
         with open(f, "rb") as fh:
             got[os.path.relpath(f, out)] = fh.read()
@@ -268,6 +270,7 @@ def _assert_crash_recovers(monkeypatch, tmp_path, point, plan):
 
     want, got = _lake_digest(ref), _lake_digest(out)
     assert sorted(got) == sorted(want)
+    assert want["online"].num_rows > 0
     for path, w in want.items():
         assert got[path] == w if isinstance(w, bytes) else got[path].equals(w), path
     rep = reconcile_lake(out)

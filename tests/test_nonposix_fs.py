@@ -134,7 +134,7 @@ def test_control_plane_on_memory_fs(ray_session):
     try:
         root = "memory://nplake"
 
-        # C7 bootstrap: schemas + empty online seed + meta
+        # C7 bootstrap: schemas; an empty lake reads as an empty online table
         reg = bootstrap_lake(root)
         assert reg["status"] == "Created"
         with F.open_(F.join(root, "_schemas.json")) as f:

@@ -16,6 +16,7 @@ import pyarrow as pa
 import pytest
 
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.pipelines.medallion import (
+    read_online,
     run_stream,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.sources import (
@@ -32,7 +33,6 @@ PROCESSED_AT = "2024-03-01T00:00:00"
 LAKE_FILES = (
     "silver/part=*/*.parquet",
     "gold/part=*/dt=*/*.parquet",
-    "online/part=*/*.parquet",
     "state/part=*/*",
 )
 # per-task wall times and the commit time: the only run-result figures
@@ -86,6 +86,9 @@ def _run_all(windows, out):
 
 
 def _lake_bytes(out):
+    """Every lake file's bytes, by relative path. The online rows are in
+    the state files; no online Parquet file may exist."""
+    assert not glob.glob(os.path.join(out, "online", "part=*"))
     got = {}
     for pattern in LAKE_FILES:
         for f in glob.glob(os.path.join(out, pattern)):
@@ -130,6 +133,8 @@ def test_plans_write_identical_lakes(ray_session, monkeypatch, tmp_path, windows
     assert any(p.startswith("silver/") for p in got)
     for path in want:
         assert got[path] == want[path], path
+    assert read_online(one).equals(read_online(ex))
+    assert read_online(one).num_rows > 0
 
 
 def test_one_block_run_plans_no_exchange(ray_session, monkeypatch, tmp_path, windows):
