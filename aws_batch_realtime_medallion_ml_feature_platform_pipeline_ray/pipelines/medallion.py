@@ -853,11 +853,10 @@ def _online(parts, conv_ids: pa.Array | None = None) -> pa.Table:
     from ..state.feature_put import validate_online
     from .incremental import _online_rows
 
-    tables = [_online_rows(d, conv_ids) for d in parts]
-    tables = [t for t in tables if t is not None]
-    if not tables:  # pre-bootstrap / wiped lake: empty typed table
+    rows = _online_rows(parts, conv_ids)
+    if rows is None:  # pre-bootstrap / wiped lake: empty typed table
         return S.GOLD.empty_table()
-    return validate_online(pa.concat_tables(tables))[0]
+    return validate_online(rows)[0]
 
 
 def read_online(out_root: str) -> pa.Table:
