@@ -191,20 +191,22 @@ def _latest_rows(window: pa.Table) -> pa.Table:
     return window.filter(pc.is_valid(window["max_turn"])).drop_columns([N_CHARS_COL])
 
 
-def _online_rows(state_dirs: list[str], conv_ids: pa.Array | None = None) -> pa.Table | None:
-    """The online rows of the partitions ``state_dirs``, unvalidated: each
+def _online_table(state_dirs: list[str], conv_ids: pa.Array | None = None) -> pa.Table:
+    """The online table (S7) that the partitions ``state_dirs`` hold: each
     conversation's latest state row in the gold layout, narrowed to
-    ``conv_ids`` when given; ``None`` when :func:`_state_table` finds no
-    state in any of them. The states are concatenated first, so each
-    compute call runs once, not once per partition."""
+    ``conv_ids`` when given, that passes the put validation
+    (``feature_put.validate_online``); a typed empty ``GOLD`` table when
+    :func:`_state_table` finds no state in any of them. The states are
+    concatenated first, so each compute call runs once, not once per
+    partition."""
     tables = [t for t in map(_state_table, state_dirs) if t is not None]
-    if not tables:
-        return None
+    if not tables:  # pre-bootstrap / wiped lake
+        return S.GOLD.empty_table()
     tbl = pa.concat_tables(tables).replace_schema_metadata(None)
     keep = pc.is_valid(tbl["max_turn"])
     if conv_ids is not None:
         keep = pc.and_(keep, pc.is_in(tbl["conv_id"], value_set=conv_ids))
-    return tbl.drop_columns([N_CHARS_COL, "max_turn"]).filter(keep)
+    return FP.validate_online(tbl.drop_columns([N_CHARS_COL, "max_turn"]).filter(keep))[0]
 
 
 def process_partition_incremental(

@@ -845,24 +845,12 @@ def gold_snapshot(out_root: str, as_of: float, *, gold_cfg: GoldConfig | None = 
     return rd.from_arrow(gold_schema(cfg.role_counts).empty_table())
 
 
-def _online(parts, conv_ids: pa.Array | None = None) -> pa.Table:
-    """The validated online rows of the partitions' states
-    (``state/part=*/state.arrow`` directories ``parts``), narrowed to
-    ``conv_ids`` when given; a typed empty ``GOLD`` table when no state
-    holds any."""
-    from ..state.feature_put import validate_online
-    from .incremental import _online_rows
-
-    rows = _online_rows(parts, conv_ids)
-    if rows is None:  # pre-bootstrap / wiped lake: empty typed table
-        return S.GOLD.empty_table()
-    return validate_online(rows)[0]
-
-
 def read_online(out_root: str) -> pa.Table:
     """The S7 online table: each conversation's latest gold row, which
     its partition's ``state.arrow`` holds on its latest window row."""
-    return _online(sorted(F.glob(F.join(out_root, "state", "part=*"))))
+    from .incremental import _online_table
+
+    return _online_table(sorted(F.glob(F.join(out_root, "state", "part=*"))))
 
 
 def lookup_online(out_root: str, conv_ids: list[str]) -> pa.Table:
@@ -873,6 +861,7 @@ def lookup_online(out_root: str, conv_ids: list[str]) -> pa.Table:
     (Arrow IPC), and filter with a vectorized ``pc.is_in``. Cost is
     O(|ids| / num_parts) files touched, independent of lake size."""
     from ..stages.keyed import hash_key
+    from .incremental import _online_table
 
     meta_path = F.join(out_root, "online", "_meta.json")
     if not F.exists(meta_path):  # before the lake's first run: no rows
@@ -883,7 +872,7 @@ def lookup_online(out_root: str, conv_ids: list[str]) -> pa.Table:
     ids_arr = pa.array(conv_ids, pa.string())
     parts = np.unique(hash_key(ids_arr) % np.uint64(num_parts)).astype(np.int64)
     state_root = F.join(out_root, "state")
-    return _online([F.join(state_root, f"part={int(p):05d}") for p in parts], ids_arr)
+    return _online_table([F.join(state_root, f"part={int(p):05d}") for p in parts], ids_arr)
 
 
 def bootstrap_lake(out_root: str) -> dict:
