@@ -475,9 +475,8 @@ def _next_state(window, extend, hist, recomputed, latest, schema) -> pa.Table:
         rows["conv_id"].combine_chunks().filter(pa.array(is_latest)),
         value_set=latest["conv_id"].combine_chunks(),
     ).to_numpy()
-    take = pa.array(pos, mask=~is_latest)  # null index: null value
-    cols = [rows[f.name] if f.name in _WINDOW_COLS else latest[f.name].take(take)
-            for f in schema]
+    online = latest.take(pa.array(pos, mask=~is_latest))  # null index: null row
+    cols = [rows[f.name] if f.name in _WINDOW_COLS else online[f.name] for f in schema]
     return pa.Table.from_arrays(cols, schema=schema)
 
 
