@@ -680,8 +680,9 @@ FROM runs GROUP BY 1
 
 def q_gold_features_salted(sf_dir: str):
     """B14: same gold pass with hot conversations split into time-bucket
-    shards (overlap-prefix windows + stitch) — output must be bit-identical
-    to q_gold_features, verified against the same SQL oracle."""
+    shards (overlap-prefix windows, per-shard seeds from a driver scan of
+    shard summaries) — output must be bit-identical to q_gold_features,
+    verified against the same SQL oracle."""
     from ..stages.salted import gold_features_salted
 
     ds = read_events_as_transcripts(sf_dir)

@@ -57,6 +57,7 @@ CLASSES = (
 # plans whose one-block path skips more than the exchange
 SCALE_PATH: dict[str, str] = {
     "skew_join": "one block: one-task cogroup, no hot-key detection; beyond it hot keys broadcast, the rest one keyed exchange (stages/skewjoin.py)",
+    "gold_features_salted": "two keyed exchanges: the hot rows' key columns (shard summaries), then the seeded gold pass; the driver collects one row per hot shard (stages/salted.py)",
     "docs_dup_clusters": "one-block adjacency: one-task union of all edges, no rounds; beyond it two keyed exchanges per label-propagation round (stages/graph.py)",
     "docs_dup_cluster_sizes": "shares the docs_dup_clusters plan",
     "docs_dedup_keep_best": "shares the docs_dup_clusters plan, then one keyed exchange on cluster_id",

@@ -8,17 +8,22 @@ extensions (lag/lead, gap sessionization, per-role rolling counts) runs as
 ONE sorted, segmented, fully-vectorized numpy pass — no per-conversation
 Python loop, no second shuffle.
 
-That pass, :func:`_gold_pass`, is the only copy of the gold kernel. It
-serves two entry points: :func:`gold_features_partition` and
-``salted.gold_partition_phase_a``. The input's columns say what it holds.
+That pass, :func:`gold_features_partition`, is the only copy of the gold
+kernel: the stream, the salted shards (``salted.gold_partition_phase_a``)
+and the queries all call it. The input's columns say what it holds.
 ``__shard`` (salted tables) joins ``conv_id`` in the segment key.
-``__prefix`` rows (a salted shard's overlap copies, or the stream's
-carried trailing window) feed window, lag and session state without
-being emitted. A prefix row may carry its text length in ``n_chars`` and
-a null ``text``: the carried window stores no text. A prefix row with
-``b_prior`` and ``trail_in`` set (the stream's latest carried row of a
-conversation) seeds its segment's session numbering, so one call extends
-a conversation exactly where the previous run left it. The
+``__prefix`` rows (a salted shard's overlap and context rows, or the
+stream's carried trailing window) feed window, lag and session state
+without being emitted. A prefix row may carry its text length in
+``n_chars`` and a null ``text``: the carried window stores no text. The
+seeds ``b_prior``, ``trail_in`` and ``turn_off``, set on any row of a
+segment, continue its numbering from rows outside the call (the stream's
+latest carried row, or a salted shard's earlier shards):
+``session_id = b_prior + breaks - 1``, ``session_turn_idx = trail_in +
+ridx`` before the segment's first break and, with ``compute_turn_idx``,
+``turn_idx = turn_off + ridx``, where ridx counts the segment's emitted
+rows. Unseeded segments start at 0. So one call extends a conversation
+exactly where the previous run or shard left it. The
 window widths are fixed by the gold column names: ``schema.H1``
 (``turns_1h``, ``chars_1h``, ``<role>_turns_1h``), ``schema.H24``
 (``tool_count_24h``) and ``schema.D7`` (``avg_chars_7d``).
@@ -38,7 +43,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -115,73 +119,17 @@ def gold_schema(role_counts: tuple[str, ...]) -> pa.Schema:
 
 def gold_features_partition(tbl: pa.Table, cfg: GoldConfig = GoldConfig()) -> pa.Table:
     """Compute the full gold feature vector for one hash partition of
-    transcript turns. Input columns: conv_id, ts, role, text, tool and
-    (unless cfg.compute_turn_idx) turn_idx; optionally ``__prefix``,
-    ``n_chars``, ``b_prior`` and ``trail_in`` for carried context rows
+    transcript turns: one sort, then trailing windows, lag/lead, sessions
+    and turn index for every row at once. Input columns: conv_id, ts,
+    role, text, tool and (unless cfg.compute_turn_idx) turn_idx;
+    optionally ``__shard``, ``__prefix``, ``n_chars`` and the seeds
     (module docstring). Output: FIXTURES.md §3 layout,
     grouped by conversation (in first-appearance order — NOT conv_id
     value order) and sorted by (ts, turn_idx) within each conversation;
     consumers needing a global order sort explicitly."""
     if tbl.num_rows == 0:
         return gold_schema(cfg.role_counts).empty_table()
-    return _gold_pass(tbl, cfg)[0]
-
-
-class _Emitted(NamedTuple):
-    """Per emitted row of :func:`_gold_pass`, the segment state that
-    ``salted.gold_partition_phase_a`` needs beyond the gold columns to
-    stitch shards. A segment is one conversation, or one
-    ``(conv_id, __shard)`` pair when the input has ``__shard``."""
-
-    seg_id: np.ndarray       # non-decreasing segment id
-    shard: np.ndarray | None  # __shard value; None without __shard
-    ridx: np.ndarray         # index among the segment's emitted rows
-    b: np.ndarray            # session breaks so far among them
-    sturn: np.ndarray        # session_turn_idx (== trail_in + ridx while b == 0)
-    ts: np.ndarray           # int64 µs
-    seg_has_prefix: np.ndarray  # the segment held __prefix rows
-
-
-def _gold_pass(tbl: pa.Table, cfg: GoldConfig) -> tuple[pa.Table, _Emitted]:
-    """The fused pass: one sort by ``(conv_id[, __shard], ts, tiebreak)``,
-    then trailing windows, lag/lead, sessions and turn index for every
-    row at once. ``__shard``, when present, is part of the segment key.
-    ``__prefix`` rows, when present, feed window, lag and session state
-    but are not emitted; a prefix row with ``b_prior``/``trail_in`` set
-    seeds its segment: ``session_id = b_prior + breaks - 1``, and rows
-    before the segment's first break continue the open session at
-    ``trail_in``. Unseeded segments start at 0/0. Returns the gold table
-    of the emitted rows and their :class:`_Emitted` state."""
-    sharded = SHARD_COL in tbl.column_names
-    prefixed = PREFIX_COL in tbl.column_names
-    seg_keys = ["conv_id", SHARD_COL] if sharded else ["conv_id"]
-    if cfg.dedup and not cfg.compute_turn_idx:
-        order_cols = ["ts"] + (["ingest_ts"] if "ingest_ts" in tbl.column_names else [])
-        extra = [PREFIX_COL] if prefixed else []
-        tbl = dedup_first(tbl, seg_keys + ["turn_idx"] + extra, order_cols)
-
-    # ---- sort; prefix rows precede the real rows of their segment ----
-    conv = np.asarray(
-        pc.dictionary_encode(tbl["conv_id"].combine_chunks()).indices
-    ).astype(np.int64)
-    ts = _int64(tbl["ts"])
-    tiebreak = cfg.tiebreak_col if cfg.compute_turn_idx else "turn_idx"
-    shard = _int64(tbl[SHARD_COL]) if sharded else None
-    keys = [ts] + ([shard] if sharded else []) + [conv]
-    if tiebreak is not None:  # compute_turn_idx may leave it unset
-        keys.insert(0, _int64(tbl[tiebreak]))
-    order = np.lexsort(keys)
-    tbl = tbl.take(pa.array(order))
-    ts = ts[order]
-    seg_start = W.segment_starts(conv[order])
-    if sharded:
-        shard = shard[order]
-        seg_start |= W.segment_starts(shard)
-    if prefixed:
-        real = ~np.asarray(tbl[PREFIX_COL].combine_chunks()).astype(bool)
-    else:
-        real = np.ones(len(ts), dtype=bool)
-    n = len(ts)
+    tbl, ts, seg_start, real = _dedup_sort(tbl, cfg)
     seg_id = W.segment_ids(seg_start)
 
     # ---- trailing windows over all rows ----
@@ -215,39 +163,25 @@ def _gold_pass(tbl: pa.Table, cfg: GoldConfig) -> tuple[pa.Table, _Emitted]:
         for rv in cfg.role_counts
     ]
 
-    # ---- lag/lead/gap over all rows (prefix rows are true predecessors) --
+    # ---- lag/lead over all rows (prefix rows are true predecessors) ----
     lag1 = W.lag_within(ts, seg_start, TS_NULL)
     lead1 = W.lead_within(ts, seg_start, TS_NULL)
-    gap_prev = np.empty(n, dtype=np.int64)
-    gap_prev[1:] = ts[1:] - ts[:-1]
-    gap_prev[seg_start] = -1
 
-    # ---- numbering among emitted rows: turn index, session breaks ----
-    arange = np.arange(n, dtype=np.int64)
-    seg_first = np.maximum.accumulate(np.where(seg_start, arange, 0))
-    cum = np.cumsum(real, dtype=np.int64)
-    ridx = cum - (cum[seg_first] - real[seg_first]) - 1
-    br = real & (seg_start | (gap_prev > cfg.gap_us))
-    cum = np.cumsum(br, dtype=np.int64)
-    b = cum - (cum[seg_first] - br[seg_first])
-    b_prior, trail_in = _seeds(tbl, seg_id)
-    # b > 0 means the segment's last break so far lies in this segment
-    last_br = np.maximum.accumulate(np.where(br, arange, 0))
-    sturn = np.where(b > 0, ridx - ridx[last_br], trail_in + ridx)
+    # ---- numbering among emitted rows: turn index, sessions ----
+    b_prior, trail_in, turn_off = _seeds(tbl, seg_id)
+    gap_prev, ridx, b, sturn = _numbering(ts, seg_start, real, cfg.gap_us, trail_in)
     if cfg.compute_turn_idx:
-        turn_idx = ridx.astype(np.int32)
+        turn_idx = (turn_off + ridx).astype(np.int32)
     else:
         turn_idx = np.asarray(tbl["turn_idx"].combine_chunks().cast(pa.int32()))
 
     # ---- emit real rows ----
-    has_prefix = np.zeros(int(seg_id[-1]) + 1, dtype=bool)
-    has_prefix[seg_id[~real]] = True
     if real.all():
         keep, out = slice(None), tbl
     else:
         keep = np.flatnonzero(real)
         out = tbl.take(pa.array(keep))
-    ts_r, gap_r, b_r = ts[keep], gap_prev[keep], b[keep]
+    ts_r, gap_r = ts[keep], gap_prev[keep]
     ts_arr = pa.array(ts_r, pa.int64()).cast(pa.timestamp("us"))
     gap_null = gap_r < 0
     arrays = [
@@ -267,35 +201,90 @@ def _gold_pass(tbl: pa.Table, cfg: GoldConfig) -> tuple[pa.Table, _Emitted]:
             pa.float64(),
             mask=gap_null,
         ),
-        pa.array(b_prior[keep] + b_r - 1, pa.int64()),
+        pa.array(b_prior[keep] + b[keep] - 1, pa.int64()),
         pa.array(sturn[keep].astype(np.int32), pa.int32()),
     ]
-    gold = pa.Table.from_arrays(arrays, schema=gold_schema(cfg.role_counts))
-    seg_r = seg_id[keep]
-    return gold, _Emitted(
-        seg_id=seg_r,
-        shard=None if shard is None else shard[keep],
-        ridx=ridx[keep],
-        b=b_r,
-        sturn=sturn[keep],
-        ts=ts_r,
-        seg_has_prefix=has_prefix[seg_r],
-    )
+    return pa.Table.from_arrays(arrays, schema=gold_schema(cfg.role_counts))
 
 
-def _seeds(tbl: pa.Table, seg_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, its segment's carried ``(b_prior, trail_in)``: the values
-    of the segment's one row that sets them, else ``(0, 0)``."""
-    if "b_prior" not in tbl.column_names:
-        zero = np.zeros(len(seg_id), np.int64)
-        return zero, zero
-    seeded = np.asarray(pc.is_valid(tbl["b_prior"].combine_chunks()))
+def _dedup_sort(
+    tbl: pa.Table, cfg: GoldConfig
+) -> tuple[pa.Table, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's rows in the kernel's order: dedup (``cfg.dedup`` with
+    a given turn_idx), then one sort by ``(conv_id[, __shard], ts,
+    tiebreak)``, so prefix rows precede the real rows of their segment.
+    ``__shard``, when present, is part of the segment key. Returns the
+    sorted table, its int64 ``ts``, the segment starts and the mask of
+    real (non-``__prefix``) rows."""
+    sharded = SHARD_COL in tbl.column_names
+    prefixed = PREFIX_COL in tbl.column_names
+    seg_keys = ["conv_id", SHARD_COL] if sharded else ["conv_id"]
+    if cfg.dedup and not cfg.compute_turn_idx:
+        order_cols = ["ts"] + (["ingest_ts"] if "ingest_ts" in tbl.column_names else [])
+        extra = [PREFIX_COL] if prefixed else []
+        tbl = dedup_first(tbl, seg_keys + ["turn_idx"] + extra, order_cols)
+
+    conv = np.asarray(
+        pc.dictionary_encode(tbl["conv_id"].combine_chunks()).indices
+    ).astype(np.int64)
+    ts = _int64(tbl["ts"])
+    tiebreak = cfg.tiebreak_col if cfg.compute_turn_idx else "turn_idx"
+    shard = _int64(tbl[SHARD_COL]) if sharded else None
+    keys = [ts] + ([shard] if sharded else []) + [conv]
+    if tiebreak is not None:  # compute_turn_idx may leave it unset
+        keys.insert(0, _int64(tbl[tiebreak]))
+    order = np.lexsort(keys)
+    tbl = tbl.take(pa.array(order))
+    seg_start = W.segment_starts(conv[order])
+    if sharded:
+        seg_start |= W.segment_starts(shard[order])
+    if prefixed:
+        real = ~np.asarray(tbl[PREFIX_COL].combine_chunks()).astype(bool)
+    else:
+        real = np.ones(tbl.num_rows, dtype=bool)
+    return tbl, ts[order], seg_start, real
+
+
+def _numbering(
+    ts: np.ndarray,
+    seg_start: np.ndarray,
+    real: np.ndarray,
+    gap_us: int,
+    trail_in: np.ndarray | int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per sorted row: ``gap_prev`` (µs since the segment's previous row,
+    -1 at its first), ``ridx``, ``b`` (the segment's real-row session
+    breaks so far) and ``sturn`` (session_turn_idx). A real row breaks
+    when it opens its segment or follows a gap over ``gap_us``."""
+    n = len(ts)
+    gap_prev = np.empty(n, dtype=np.int64)
+    gap_prev[1:] = ts[1:] - ts[:-1]
+    gap_prev[seg_start] = -1
+    arange = np.arange(n, dtype=np.int64)
+    seg_first = np.maximum.accumulate(np.where(seg_start, arange, 0))
+    cum = np.cumsum(real, dtype=np.int64)
+    ridx = cum - (cum[seg_first] - real[seg_first]) - 1
+    br = real & (seg_start | (gap_prev > gap_us))
+    cum = np.cumsum(br, dtype=np.int64)
+    b = cum - (cum[seg_first] - br[seg_first])
+    # b > 0 means the segment's last break so far lies in this segment
+    last_br = np.maximum.accumulate(np.where(br, arange, 0))
+    sturn = np.where(b > 0, ridx - ridx[last_br], trail_in + ridx)
+    return gap_prev, ridx, b, sturn
+
+
+def _seeds(tbl: pa.Table, seg_id: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row, its segment's ``(b_prior, trail_in, turn_off)``: each the
+    value of the segment's rows that set it, else 0."""
     seeds = []
-    for c in ("b_prior", "trail_in"):
+    for c in ("b_prior", "trail_in", "turn_off"):
         per_seg = np.zeros(int(seg_id[-1]) + 1, np.int64)
-        per_seg[seg_id[seeded]] = np.asarray(tbl[c].combine_chunks().fill_null(0))[seeded]
+        if c in tbl.column_names:
+            col = tbl[c].combine_chunks()
+            seeded = np.asarray(pc.is_valid(col))
+            per_seg[seg_id[seeded]] = np.asarray(col.fill_null(0))[seeded]
         seeds.append(per_seg[seg_id])
-    return seeds[0], seeds[1]
+    return tuple(seeds)
 
 
 def _int64(col: pa.ChunkedArray) -> np.ndarray:

@@ -1,47 +1,38 @@
-"""B14 — salted skew repartition for mega-conversations, with exact stitch.
+"""B14 — salted skew repartition for mega-conversations, exact by seeding.
 
-The fused gold pass (stages/featurize.py) assigns all rows of a ``conv_id``
-to one hash partition; a mega-conversation (10^7+ turns) then bounds the
-whole job's wall-clock and a single worker's heap. Per SURVEY.md §2.7/B14
-we split hot conversations into **time-bucket shards** `(conv_id,
-ts // bucket_us)` processed in parallel, and make every feature *exact*:
+The gold kernel (stages/featurize.py) sees all rows of a ``conv_id`` in
+one hash partition, so a mega-conversation (10^7+ turns) bounds the job's
+wall-clock and a worker's heap. Per SURVEY.md §2.7/B14, hot conversations
+split into **time-bucket shards** ``(conv_id, ts // bucket_us)``, each
+exact:
 
-- **Trailing RANGE windows** (turns_1h / chars_1h / tool_count_24h /
-  avg_chars_7d / per-role counts): each shard receives a **prefix copy**
-  of the previous bucket's last ``Δmax`` of rows (Δmax = the longest
-  window), duplicated at tag time with ``__prefix=1``. Window state is
-  computed over prefix∪real rows; only real rows are emitted. Since
-  ``bucket_us >= Δmax``, a row's window never reaches past the prefix.
-- **lag/lead/gap/sessionization/turn_idx** continue across shard
-  boundaries via a driver-side **stitch scan** over tiny per-shard
-  summaries (first/last ts, rows, session breaks, trailing run): O(number
-  of hot shards), not O(rows). Session-break exactness argument: a break
-  needs only the immediate predecessor row; the predecessor is the last
-  prefix row when the prefix is non-empty, and when the prefix is empty
-  the true gap exceeds ``Δmax >= gap_us`` so the row *is* a break.
+- **Windows:** each shard gets a ``__prefix=1`` copy of the previous
+  bucket's last ``overlap = max(Δmax, gap_us)`` of rows; since
+  ``bucket_us >= overlap``, no window reaches past the prefix.
+- **turn_idx / session_id / session_turn_idx** continue through the
+  kernel's seeds. A narrow pass numbers the hot shards' key columns as
+  the kernel does (same dedup, sort and breaks), and the driver scans
+  these per-shard summaries in shard order: O(hot shards), not O(rows).
+  A break needs only its predecessor row, the last prefix row; with no
+  prefix the true gap exceeds ``overlap >= gap_us``, so the row breaks.
+- **lag1_ts / gap_s / lead1_ts** at shard edges come from non-emitted
+  context rows: one at the next shard's first ts, and, for a shard
+  without prefix rows, one at the previous shard's last ts, more than
+  the overlap before every real row and so outside every window.
 
-Partitioning assumption (documented per the task statement): duplicate
-``(conv_id, turn_idx)`` rows are deduplicated exactly when they carry the
-same ``ts`` (same bucket); duplicates of the same turn whose timestamps
-differ by more than one bucket are not collapsed across shards — the
-medallion pipeline dedups upstream of salting, so this only affects
-direct salted runs over raw bronze.
+Duplicate ``(conv_id, turn_idx)`` rows are deduplicated exactly when they
+fall in the same bucket; the medallion pipeline dedups upstream of
+salting, so this only affects direct salted runs over raw bronze.
 
-Everything is one extra small driver round-trip vs the unsalted pass:
-tag(+overlap copies) → one shuffle → Phase A (the fused pass of
-stages/featurize.py on the tagged table, plus embedded summaries) →
-collect summaries (tiny) → stitch map. Non-hot conversations take the
-identical code path — the same fused pass, with a whole-conv "shard" and
-no corrections — so salted output == unsalted output bit-for-bit. This
-module holds only the tagging, the shard summaries and the stitch.
+The plan: tag (+prefix copies) → shard summaries → seed scan on the
+driver → one kernel pass with the seeds in its closure. Cold
+conversations take the same kernel call unseeded, so salted output ==
+unsalted output bit-for-bit.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -50,11 +41,10 @@ from ..functions import windows as W
 from .featurize import (
     PREFIX_COL,
     SHARD_COL,
-    TS_NULL,
     GoldConfig,
-    _gold_pass,
-    _ts_with_null,
-    gold_schema,
+    _dedup_sort,
+    _numbering,
+    gold_features_partition,
 )
 from .keyed import PART_COL, hash_key, splitmix64, tune_shuffle_context
 
@@ -63,15 +53,17 @@ from .keyed import PART_COL, hash_key, splitmix64, tune_shuffle_context
 NON_SALTED = np.int64(-1)
 _BUCKET_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-# internal Phase-A output columns consumed by the stitch pass
-_RIDX = "__ridx"          # row index among real rows of the shard
-_B = "__b"                # cumulative session breaks among real rows
-_SUM_COLS = (
-    "__sum_n_real", "__sum_breaks", "__sum_trail",
-    "__sum_first_ts", "__sum_last_ts", "__sum_no_prefix",
-)
-_SUM_TYPES = (pa.int64(),) * 5 + (pa.int8(),)
-_INTERNAL = (SHARD_COL, _RIDX, _B) + _SUM_COLS
+# one row per hot (conv_id, __shard) with real rows; ts values are int64
+_SUMMARY_SCHEMA = pa.schema([
+    ("conv_id", pa.string()),
+    (SHARD_COL, pa.int64()),
+    ("n_real", pa.int64()),      # real rows after dedup
+    ("breaks", pa.int64()),      # session breaks among them
+    ("trail", pa.int64()),       # size of the session open at the shard's end
+    ("first_ts", pa.int64()),    # first and last real ts
+    ("last_ts", pa.int64()),
+    ("has_prefix", pa.bool_()),  # the shard holds overlap copies
+])
 
 
 def detect_hot_keys(ds, key: str, threshold: int, *,
@@ -167,193 +159,128 @@ def _tag_salted(
     return out.append_column(PART_COL, pa.array(part, pa.int32()))
 
 
-def gold_partition_phase_a(tbl: pa.Table, cfg: GoldConfig) -> pa.Table:
-    """The fused gold pass (stages/featurize.py) over one hash partition
-    of a tagged table, where segments are ``(conv_id, __shard)``. Prefix
-    rows feed window/lag/session state but are not emitted. Adds the
-    stitch inputs: ``__shard``, ``__ridx``, ``__b``, and on each hot
-    shard's first real row its summary (``__sum_*`` columns, null
-    elsewhere)."""
+def _hot_key_rows(batch: pa.Table, cfg: GoldConfig) -> pa.Table:
+    """The summary pass's input: the hot rows of a tagged batch, with
+    only the columns the kernel's dedup, sort and breaks read."""
+    tiebreak = cfg.tiebreak_col if cfg.compute_turn_idx else "turn_idx"
+    keys = ("conv_id", SHARD_COL, PREFIX_COL, "ts", tiebreak, "ingest_ts", PART_COL)
+    cols = [c for c in dict.fromkeys(keys) if c in batch.column_names]
+    return batch.select(cols).filter(pc.not_equal(batch[SHARD_COL], NON_SALTED))
+
+
+def _shard_summaries(tbl: pa.Table, cfg: GoldConfig) -> pa.Table:
+    """One ``_SUMMARY_SCHEMA`` row per ``(conv_id, __shard)`` of hot rows
+    that has real rows, numbered exactly as the kernel numbers it."""
     if tbl.num_rows == 0:
-        return _empty_phase_a(cfg)
-    gold, e = _gold_pass(tbl, cfg)
-    seg_start = W.segment_starts(e.seg_id)
-    is_first = seg_start & (e.shard != NON_SALTED)
-    arrays = [
-        pa.array(e.shard, pa.int64()),
-        pa.array(e.ridx, pa.int64()),
-        pa.array(e.b, pa.int64()),
-    ] + [
-        pa.array(np.where(is_first, vals, 0), typ, mask=~is_first)
-        for vals, typ in zip(_shard_summaries(e, seg_start), _SUM_TYPES)
-    ]
+        return _SUMMARY_SCHEMA.empty_table()
+    tbl, ts, seg_start, real = _dedup_sort(tbl, cfg)
+    _, ridx, b, sturn = _numbering(ts, seg_start, real, cfg.gap_us, 0)
+    seg_id = W.segment_ids(seg_start)
+    has_prefix = np.zeros(int(seg_id[-1]) + 1, dtype=bool)
+    has_prefix[seg_id[~real]] = True
+    keep = np.flatnonzero(real)
+    starts = W.segment_starts(seg_id[keep])
+    first = keep[starts]
+    last = keep[np.roll(starts, -1)]
     return pa.Table.from_arrays(
-        gold.columns + arrays, schema=_phase_a_schema(cfg.role_counts)
+        [
+            tbl["conv_id"].take(first).cast(pa.string()),
+            tbl[SHARD_COL].take(first),
+            pa.array(ridx[last] + 1),
+            pa.array(b[last]),
+            # unseeded, a shard without breaks reports its n_real here
+            pa.array(sturn[last] + 1),
+            pa.array(ts[first]),
+            pa.array(ts[last]),
+            pa.array(has_prefix[seg_id[first]]),
+        ],
+        schema=_SUMMARY_SCHEMA,
     )
 
 
-def _shard_summaries(e, seg_start: np.ndarray) -> list[np.ndarray]:
-    """Per-segment summary values in ``_SUM_COLS`` order, broadcast to
-    every row (the caller keeps the first row's): n_real, total breaks,
-    trailing run (the open session's size at shard end; -1 = no real
-    break in the shard), first/last real ts, no-prefix flag."""
-    starts = np.flatnonzero(seg_start)
-    k = np.cumsum(seg_start) - 1
-    first = starts[k]
-    last = np.append(starts[1:], len(seg_start))[k] - 1
-    breaks = e.b[last]
-    return [
-        e.ridx[last] + 1,
-        breaks,
-        np.where(breaks > 0, e.sturn[last] + 1, -1),
-        e.ts[first],
-        e.ts[last],
-        ~e.seg_has_prefix,
-    ]
+def _seed_table(summary: pa.Table) -> pa.Table:
+    """The driver scan over the shard summaries, per conversation in shard
+    order. Per shard: the earlier shards' breaks (``b_prior``) and real
+    rows (``turn_off``), the size of the session open when it starts
+    (``trail_in``), and the ts of its context rows: ``lead_ts``, the next
+    shard's first, and ``lag_ts``, the previous shard's last when the
+    shard has no prefix rows (else null). O(hot shards)."""
+    s = summary.sort_by([("conv_id", "ascending"), (SHARD_COL, "ascending")])
+    conv = np.asarray(pc.dictionary_encode(s["conv_id"].combine_chunks()).indices)
+    starts = W.segment_starts(conv)
+    arange = np.arange(s.num_rows)
+    conv_first = np.maximum.accumulate(np.where(starts, arange, 0))
+    n_real, breaks, trail, first_ts, last_ts = (
+        np.asarray(s[c]) for c in ("n_real", "breaks", "trail", "first_ts", "last_ts")
+    )
+
+    def before(x):  # x summed over the conversation's earlier shards
+        cum = np.cumsum(x) - x
+        return cum - cum[conv_first]
+
+    # the session open at a shard's end began in its last shard with a
+    # break, or at the conversation's start: sum ``trail`` from there on
+    anchor = np.maximum.accumulate(np.where(starts | (breaks > 0), arange, 0))
+    cum = np.cumsum(trail)
+    trail_out = cum - cum[anchor] + trail[anchor]
+    no_lag = starts | np.asarray(s["has_prefix"])
+    return pa.table({
+        "conv_id": s["conv_id"],
+        SHARD_COL: s[SHARD_COL],
+        "b_prior": before(breaks),
+        "trail_in": np.where(starts, 0, np.roll(trail_out, 1)),
+        "turn_off": before(n_real),
+        "lead_ts": pa.array(np.roll(first_ts, -1), mask=np.roll(starts, -1)),
+        "lag_ts": pa.array(np.roll(last_ts, 1), mask=no_lag),
+    })
 
 
-# ---------------------------------------------------------------------------
-# stitch
-# ---------------------------------------------------------------------------
-
-def _build_corrections(summary: pd.DataFrame) -> pd.DataFrame:
-    """Driver-side scan over hot shards (sorted per conv by bucket id):
-    per-shard offsets for turn_idx / session_id, session-run carry-in, and
-    boundary lag/lead patches. O(#shards)."""
-    rows = []
-    for conv, g in summary.groupby("conv_id", sort=False):
-        g = g.sort_values(SHARD_COL)
-        b_prior = 0
-        turn_off = 0
-        trail_in = 0
-        prev_last_ts = None
-        recs = g.to_dict("records")
-        for i, r in enumerate(recs):
-            rows.append(
-                {
-                    "conv_id": conv,
-                    SHARD_COL: r[SHARD_COL],
-                    "turn_off": turn_off,
-                    "b_prior": b_prior,
-                    "trail_in": trail_in,
-                    "prev_last_ts": prev_last_ts,
-                    "next_first_ts": recs[i + 1]["__sum_first_ts"] if i + 1 < len(recs) else None,
-                    "no_prefix": bool(r["__sum_no_prefix"]),
-                    "n_real": r["__sum_n_real"],
-                }
-            )
-            if r["__sum_breaks"] > 0:
-                trail_in = r["__sum_trail"]
-            else:
-                trail_in = trail_in + r["__sum_n_real"]
-            b_prior += int(r["__sum_breaks"])
-            turn_off += int(r["__sum_n_real"])
-            prev_last_ts = int(r["__sum_last_ts"])
-    return pd.DataFrame(
-        rows,
-        columns=["conv_id", SHARD_COL, "turn_off", "b_prior", "trail_in",
-                 "prev_last_ts", "next_first_ts", "no_prefix", "n_real"],
+def gold_partition_phase_a(
+    tbl: pa.Table, cfg: GoldConfig, seeds: pa.Table | None = None
+) -> pa.Table:
+    """The gold kernel over one hash partition of a tagged table, where
+    segments are ``(conv_id, __shard)``. With ``seeds``
+    (:func:`_seed_table`), each hot shard's rows take its seeds and its
+    context rows follow the partition's rows, so the one call emits
+    final rows. ``index_in`` + ``take``, not a join: the kernel emits
+    conversations in first-appearance order, so row order must hold."""
+    if seeds is None or not pc.any(pc.not_equal(tbl[SHARD_COL], NON_SALTED)).as_py():
+        return gold_features_partition(tbl, cfg)
+    at = pc.index_in(_shard_keys(tbl), value_set=_shard_keys(seeds))
+    for c in ("b_prior", "trail_in", "turn_off"):
+        tbl = tbl.append_column(c, seeds[c].take(at))
+    mine = seeds.take(pc.unique(at.drop_null()))
+    context = [_context_rows(tbl.schema, mine, c, t, cfg)
+               for c, t in (("lead_ts", -1), ("lag_ts", -2))]
+    return gold_features_partition(
+        pa.concat_tables([tbl, *context], promote_options="default"), cfg
     )
 
 
-def _apply_corrections(batch: pa.Table, corr: pd.DataFrame, compute_turn_idx: bool) -> pa.Table:
-    """Final vectorized map: join tiny corrections on (conv_id, shard),
-    apply offsets and boundary patches, drop internal columns.
-
-    The join is Arrow/numpy-native (VERDICT r3 §next-4): one
-    ``pc.index_in`` resolves each batch row's conv against the
-    correction table's distinct convs (Arrow's C++ hash lookup — no
-    per-batch ``to_pandas()``), then a packed (conv_code * K + shard)
-    int64 searchsorted probe finds the correction row. The pandas work
-    left is O(corr) prep of the tiny correction frame itself."""
-    sid = np.asarray(batch[_B].combine_chunks()).astype(np.int64) - 1
-    sturn = np.asarray(batch["session_turn_idx"].combine_chunks()).astype(np.int64)
-    turn = np.asarray(batch["turn_idx"].combine_chunks()).astype(np.int64)
-    lag = np.asarray(batch["lag1_ts"].combine_chunks().cast(pa.int64()).fill_null(TS_NULL))
-    lead = np.asarray(batch["lead1_ts"].combine_chunks().cast(pa.int64()).fill_null(TS_NULL))
-    gap_arr = batch["gap_s"].combine_chunks()
-    gap = np.asarray(gap_arr.fill_null(np.nan))
-
-    if len(corr):
-        # corr-side (tiny) index: conv -> dense code, packed with shard
-        conv_vals = corr["conv_id"].to_numpy(dtype=object)
-        conv_uniq, corr_code = np.unique(conv_vals, return_inverse=True)
-        shards_c = corr[SHARD_COL].to_numpy(np.int64)
-        K = int(shards_c.max()) + 2 if len(shards_c) else 1
-        packed_c = corr_code.astype(np.int64) * K + shards_c
-        c_order = np.argsort(packed_c)
-        packed_sorted = packed_c[c_order]
-        c_turn_off = corr["turn_off"].to_numpy(np.int64)[c_order]
-        c_b_prior = corr["b_prior"].to_numpy(np.int64)[c_order]
-        c_trail_in = corr["trail_in"].to_numpy(np.int64)[c_order]
-        c_n_real = corr["n_real"].to_numpy(np.int64)[c_order]
-        c_has_prev, c_prev = _ints_or_zero(corr["prev_last_ts"], c_order)
-        c_has_next, c_next = _ints_or_zero(corr["next_first_ts"], c_order)
-        c_no_prefix = corr["no_prefix"].to_numpy(dtype=bool)[c_order]
-
-        # batch-side probe: Arrow hash lookup of conv, then packed key
-        ci_arr = pc.index_in(
-            batch["conv_id"].combine_chunks(),
-            value_set=pa.array(conv_uniq, pa.string()),
-        )
-        ci = np.asarray(ci_arr.cast(pa.int64()).fill_null(-1))
-        shard_b = np.asarray(batch[SHARD_COL].combine_chunks()).astype(np.int64)
-        probe = ci * np.int64(K) + shard_b
-        pos = np.searchsorted(packed_sorted, probe)
-        pos_c = np.minimum(pos, len(packed_sorted) - 1)
-        hit = (ci >= 0) & (packed_sorted[pos_c] == probe)
-        if hit.any():
-            b = sid + 1
-            ridx = np.asarray(batch[_RIDX].combine_chunks()).astype(np.int64)
-            b_prior = np.where(hit, c_b_prior[pos_c], 0)
-            turn_off = np.where(hit, c_turn_off[pos_c], 0)
-            trail_in = np.where(hit, c_trail_in[pos_c], 0)
-            n_real = np.where(hit, c_n_real[pos_c], 0)
-            no_prefix = hit & c_no_prefix[pos_c]
-
-            sid = np.where(hit, b_prior + b - 1, sid)
-            lead_run = hit & (b == 0)
-            sturn = np.where(lead_run, trail_in + ridx, sturn)
-            if compute_turn_idx:
-                turn = np.where(hit, turn + turn_off, turn)
-            # boundary patches
-            has_prev = hit & c_has_prev[pos_c]
-            first_fix = no_prefix & has_prev & (ridx == 0)
-            if first_fix.any():
-                pl = c_prev[pos_c]
-                ts_int = np.asarray(batch["ts"].combine_chunks().cast(pa.int64()))
-                lag = np.where(first_fix, pl, lag)
-                gap = np.where(first_fix, (ts_int - pl) / S.US_PER_S, gap)
-            has_next = hit & c_has_next[pos_c]
-            last_fix = has_next & (ridx == n_real - 1)
-            if last_fix.any():
-                lead = np.where(last_fix, c_next[pos_c], lead)
-
-    out = batch.drop_columns(list(_INTERNAL))
-    out = _set(out, "turn_idx", pa.array(turn.astype(np.int32), pa.int32()))
-    out = _set(out, "session_id", pa.array(sid, pa.int64()))
-    out = _set(out, "session_turn_idx", pa.array(sturn.astype(np.int32), pa.int32()))
-    out = _set(out, "lag1_ts", _ts_with_null(lag))
-    out = _set(out, "lead1_ts", _ts_with_null(lead))
-    gap_null = np.isnan(gap)
-    out = _set(
-        out, "gap_s",
-        pa.array(np.where(gap_null, 0.0, gap), pa.float64(), mask=gap_null),
-    )
-    return out
+def _shard_keys(tbl: pa.Table) -> pa.Array:
+    shard = pc.cast(tbl[SHARD_COL], pa.string())
+    return pc.binary_join_element_wise(tbl["conv_id"], shard, "#").combine_chunks()
 
 
-def _ints_or_zero(ser: pd.Series, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(not-null mask, int64 values with 0 at nulls)`` of a nullable
-    column (object or float dtype), taken in ``order``."""
-    valid = ser.notna().to_numpy()
-    vals = np.zeros(len(ser), np.int64)
-    vals[valid] = ser.to_numpy()[valid].astype(np.int64)
-    return valid[order], vals[order]
-
-
-def _set(tbl: pa.Table, name: str, arr: pa.Array) -> pa.Table:
-    return tbl.set_column(tbl.schema.get_field_index(name), name, arr)
+def _context_rows(
+    schema: pa.Schema, shards: pa.Table, ts_col: str, turn: int, cfg: GoldConfig
+) -> pa.Table:
+    """One non-emitted ``__prefix`` row per shard where ``ts_col`` is set,
+    at that ts. Its turn_idx ``turn`` (below every real one) keeps dedup
+    from merging it with a real row; its tiebreak and ``ingest_ts`` are
+    zero of their own types, and its other columns null."""
+    shards = shards.filter(pc.is_valid(shards[ts_col]))
+    n = shards.num_rows
+    cols = {
+        "conv_id": shards["conv_id"].cast(schema.field("conv_id").type),
+        SHARD_COL: shards[SHARD_COL],
+        PREFIX_COL: pa.array(np.ones(n, np.int8)),
+        "ts": shards[ts_col].cast(schema.field("ts").type),
+    }
+    for c, v in ((cfg.tiebreak_col, 0), ("ingest_ts", 0), ("turn_idx", turn)):
+        if c in schema.names:
+            cols[c] = pa.array(np.full(n, v, np.int64)).cast(schema.field(c).type)
+    return pa.table(cols)
 
 
 def gold_features_salted(
@@ -367,9 +294,9 @@ def gold_features_salted(
     hot_keys: pa.Array | None = None,
 ):
     """The salted gold pipeline: detect hot convs → tag (+overlap copies)
-    → one shuffle → Phase A fused pass → collect tiny summaries → stitch
-    map. With no hot keys it degenerates to the unsalted single-shuffle
-    plan (identical output)."""
+    → shard summaries of the hot rows' key columns → seed scan on the
+    driver → one seeded kernel pass. With no hot keys it is the unsalted
+    single-shuffle plan (identical output)."""
     cfg = cfg or GoldConfig()
     tune_shuffle_context()
     if num_parts is None:
@@ -396,71 +323,23 @@ def gold_features_salted(
         zero_copy_batch=True,
     )
 
-    phase_a = tagged.groupby(PART_COL).map_groups(
-        lambda g: gold_partition_phase_a(g.drop_columns([PART_COL]), cfg),
-        batch_format="pyarrow",
-    )
-
-    if len(hot_keys) == 0:
-        return phase_a.map_batches(
-            lambda t: _apply_corrections(t, pd.DataFrame(), cfg.compute_turn_idx),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+    seeds = None
+    if len(hot_keys):
+        # every shard's seeds depend on the earlier shards' summaries: the
+        # one barrier of the plan, over a few key columns of the hot rows
+        summary = (
+            tagged.map_batches(
+                lambda t: _hot_key_rows(t, cfg),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+            .groupby(PART_COL)
+            .map_groups(lambda g: _shard_summaries(g, cfg), batch_format="pyarrow")
+            .take_all()
         )
+        seeds = _seed_table(pa.Table.from_pylist(summary, schema=_SUMMARY_SCHEMA))
 
-    # The stitch needs EVERY shard summary before its first output batch —
-    # an inherent barrier. Instead of pinning the whole phase-A output in
-    # the object store (round-1 materialize(), VERDICT r1 §next-9), spool
-    # it to parquet: the write streams with backpressure and frees blocks
-    # as it goes; summaries come back via a column-pruned read (tiny
-    # bytes), and the stitch map streams over the spool.
-    import atexit
-    import shutil
-    import tempfile
-
-    import ray.data as rd
-
-    spool = tempfile.mkdtemp(prefix="salted_phase_a_", dir="/tmp")
-    # the returned dataset reads the spool lazily, so it cannot be
-    # deleted here — reclaim it at interpreter exit (a long-lived driver
-    # otherwise accumulates one gold-sized directory per salted run)
-    atexit.register(shutil.rmtree, spool, ignore_errors=True)
-    phase_a.write_parquet(spool)
-    summary_tbl = (
-        rd.read_parquet(spool, columns=["conv_id", SHARD_COL, *_SUM_COLS])
-        .map_batches(_extract_summaries_pruned, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .take_all()
-    )
-    summary = pd.DataFrame(summary_tbl) if summary_tbl else pd.DataFrame(
-        columns=["conv_id", SHARD_COL, *(_SUM_COLS)]
-    )
-    corr = _build_corrections(summary)
-    return rd.read_parquet(spool).map_batches(
-        lambda t: _apply_corrections(t, corr, cfg.compute_turn_idx),
+    return tagged.groupby(PART_COL).map_groups(
+        lambda g: gold_partition_phase_a(g.drop_columns([PART_COL]), cfg, seeds),
         batch_format="pyarrow",
-        zero_copy_batch=True,
     )
-
-
-def _extract_summaries_pruned(batch: pa.Table) -> pa.Table:
-    """The hot shards' summary rows of a column-pruned phase-A spool read
-    (``conv_id``, ``__shard`` and the ``__sum_*`` columns): each hot
-    shard's first real row, the one that carries its summary."""
-    mask = pc.and_(
-        pc.is_valid(batch["__sum_n_real"]),
-        pc.not_equal(batch[SHARD_COL], pa.scalar(int(NON_SALTED), pa.int64())),
-    )
-    return batch.filter(mask)
-
-
-@functools.cache
-def _phase_a_schema(role_counts: tuple[str, ...]) -> pa.Schema:
-    internal = [(SHARD_COL, pa.int64()), (_RIDX, pa.int64()), (_B, pa.int64())]
-    return pa.schema(
-        list(gold_schema(role_counts)) + internal + list(zip(_SUM_COLS, _SUM_TYPES))
-    )
-
-
-def _empty_phase_a(cfg: GoldConfig) -> pa.Table:
-    return _phase_a_schema(cfg.role_counts).empty_table()

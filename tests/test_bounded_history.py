@@ -224,7 +224,7 @@ def test_one_kernel_call_per_partition_run(tmp_path, monkeypatch):
     assert rec["lead_patches"] > 0  # extended conversations
     assert set(new["conv_id"].to_pylist()) <= set(
         medallion.read_online(lake)["conv_id"].to_pylist())
-    assert calls[(featurize.__file__, "_gold_pass")] == 1
+    assert calls[(featurize.__file__, "gold_features_partition")] == 1
     salted_calls = [k for k in calls if k[0] == salted.__file__]
     assert not salted_calls, salted_calls
     _assert_same_lake(lake, _backfill([first_dir, second_dir], tmp_path, "one_call"))

@@ -1,21 +1,21 @@
 """Byte-level pin of the fused gold kernel, without Ray.
 
-``gold_features_partition`` and ``gold_partition_phase_a`` +
-``_apply_corrections`` run on seeded ``generate_transcripts`` tables (the
-salted path also with prefix rows that carry ``n_chars`` in place of
-``text``, as the stream's carried window does), and
-``gold_features_partition`` once more as the stream extends
-conversations: earlier rows as text-free prefix rows whose latest row per
-conversation seeds the session numbering; the SHA-256 of each output's
-Arrow IPC stream is compared with a recorded digest. Unlike the oracle's value hash this pins column order, types,
-null masks and row order, so a refactor of the kernel that changes any
-of them fails here.
+``gold_features_partition`` and the salted plan (shard summaries, seed
+scan, seeded ``gold_partition_phase_a``) run on seeded
+``generate_transcripts`` tables (the salted path also with prefix rows
+that carry ``n_chars`` in place of ``text``, as the stream's carried
+window does), and ``gold_features_partition`` once more as the stream
+extends conversations: earlier rows as text-free prefix rows whose
+latest row per conversation seeds the session numbering; the SHA-256 of
+each output's Arrow IPC stream is compared with a recorded digest.
+Unlike the oracle's value hash this pins column order, types, null
+masks and row order, so a refactor of the kernel that changes any of
+them fails here.
 """
 
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -40,11 +40,10 @@ from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.keyed 
     PART_COL,
 )
 from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.salted import (
-    NON_SALTED,
     SHARD_COL,
-    _SUM_COLS,
-    _apply_corrections,
-    _build_corrections,
+    _hot_key_rows,
+    _seed_table,
+    _shard_summaries,
     _tag_salted,
     gold_partition_phase_a,
 )
@@ -96,21 +95,14 @@ def _textless_prefix(tagged: pa.Table) -> pa.Table:
 def _salted(
     tbl: pa.Table, cfg: GoldConfig, hot_keys: pa.Array, textless: bool = False
 ) -> pa.Table:
-    """The salted plan on one partition: tag (+prefix copies), phase A,
-    shard summaries, stitch."""
+    """The salted plan on one partition: tag (+prefix copies), the hot
+    shards' summaries, the seed scan, the seeded kernel pass."""
     overlap = max(S.D7, cfg.gap_us)
     tagged = _tag_salted(tbl, "conv_id", 1, 1, hot_keys, overlap, overlap)
     if textless:
         tagged = _textless_prefix(tagged)
-    phase_a = gold_partition_phase_a(tagged.drop_columns([PART_COL]), cfg)
-    summary = phase_a.select(["conv_id", SHARD_COL, *_SUM_COLS]).filter(
-        pc.and_(
-            pc.is_valid(phase_a["__sum_n_real"]),
-            pc.not_equal(phase_a[SHARD_COL], pa.scalar(int(NON_SALTED), pa.int64())),
-        )
-    )
-    corr = _build_corrections(summary.to_pandas()) if summary.num_rows else pd.DataFrame()
-    return _apply_corrections(phase_a, corr, cfg.compute_turn_idx)
+    seeds = _seed_table(_shard_summaries(_hot_key_rows(tagged, cfg), cfg))
+    return gold_partition_phase_a(tagged.drop_columns([PART_COL]), cfg, seeds)
 
 
 def _keys(tbl: pa.Table) -> pa.Array:
@@ -172,6 +164,23 @@ EXPECTED_SEEDED = {
     "default": "bf870495462197532e1dcc2f4dbc46321d365b06bee794ceebe6a3f79f6a351d",
     "no_dedup": "94369e1f13d8cccc0d32959c7069aabc867451b07bf94388b52ff20c2ac59faf",
 }
+# Two more tables, each pinned to its plain-pass digest: 2-day gaps (as
+# test_salted's sparse corpus) leave many hot shards without prefix rows,
+# which the lag context row serves; 10-minute gaps keep sessions open
+# across shard boundaries, which trail_in continues.
+MEAN_GAP_S = {"sparse": 86400.0 * 2, "short": 600.0}
+EXPECTED_BY_TABLE = {
+    "sparse": {
+        "default": "ca25bfd0d6cc7bd79aae6b049600819c4fcb12745b1367356063b2f80846c080",
+        "no_dedup": "a63d2fa88e928950a6cc8ba86531b62849f00892889c02f4fb7bae8348b62ce0",
+        "events": "52947c0a61786619f54d17dfb904e2b923e4a6c138b1f716f52965ee3c982efb",
+    },
+    "short": {
+        "default": "4bcdfd9a0bce32bd3f6070ad42b7dabb170dfea2ff4927b34c2bf8261e583b2b",
+        "no_dedup": "85d46d116199aec7c55aa7f514fda227abe3ce632afd87cd2156b3d29e158914",
+        "events": "1cf1e77eb04ee6c9f4f29b0f0ef7767f408e59602dd5cf03a52555866a7a8f92",
+    },
+}
 CASES = [
     ("plain", "default"), ("plain", "no_dedup"), ("plain", "events"),
     ("phase_a", "default"), ("phase_a", "no_dedup"), ("phase_a", "events"),
@@ -180,6 +189,14 @@ CASES = [
     ("textless", "default"), ("textless", "no_dedup"), ("textless", "events"),
     # carried prefix rows whose latest row per conversation seeds sessions
     ("seeded", "default"), ("seeded", "no_dedup"),
+    # "<table>_<kernel>": the kernels on the tables of MEAN_GAP_S
+    ("sparse_plain", "default"), ("sparse_plain", "no_dedup"), ("sparse_plain", "events"),
+    ("sparse_salted", "default"), ("sparse_salted", "no_dedup"),
+    ("sparse_salted", "events"),
+    ("sparse_textless", "default"), ("sparse_textless", "no_dedup"),
+    ("sparse_textless", "events"),
+    ("short_plain", "default"), ("short_plain", "no_dedup"), ("short_plain", "events"),
+    ("short_salted", "default"), ("short_salted", "no_dedup"), ("short_salted", "events"),
 ]
 
 
@@ -188,6 +205,10 @@ def test_gold_kernel_bytes_pinned(kernel, cfg_name):
     tbl = _table()
     cfg = CONFIGS[cfg_name]
     expected = EXPECTED[cfg_name]
+    name, _, rest = kernel.partition("_")
+    if name in MEAN_GAP_S:
+        tbl, kernel = _table(mean_gap_s=MEAN_GAP_S[name]), rest
+        expected = EXPECTED_BY_TABLE[name][cfg_name]
     if kernel == "plain":
         out = gold_features_partition(tbl, cfg)
     elif kernel == "phase_a":

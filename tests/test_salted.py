@@ -173,3 +173,72 @@ def test_detect_hot_keys_uses_keyed_exchange(ray_session, monkeypatch):
     hot = detect_hot_keys(rd.from_arrow(tbl).repartition(6), "conv_id", 400)
     assert hot.to_pylist() == ["hot"]
     assert seen and all(k == PART_COL for k in seen), seen
+
+
+def test_salted_writes_no_spool(ray_session, monkeypatch):
+    """The seeded plan keeps phase output in the engine: with hot keys it
+    writes no Parquet and makes no temporary directory."""
+    import tempfile
+
+    import ray.data as rd
+    from ray.data import Dataset
+
+    calls = []
+
+    def spy(name, orig):
+        def inner(*a, **k):
+            calls.append(name)
+            return orig(*a, **k)
+        return inner
+
+    monkeypatch.setattr(Dataset, "write_parquet", spy("write_parquet", Dataset.write_parquet))
+    monkeypatch.setattr(tempfile, "mkdtemp", spy("mkdtemp", tempfile.mkdtemp))
+    tbl = generate_transcripts(80, 40, seed=11, mean_gap_s=86400.0 * 2)
+    out = gold_features_salted(
+        rd.from_arrow(tbl).repartition(4), GoldConfig(), num_parts=2,
+        hot_threshold=200,
+    )
+    assert out.count() > 0
+    assert calls == []
+
+
+def test_seed_scan_matches_loop():
+    """The driver's vectorized seed scan equals a per-shard loop over the
+    same summaries (conversations and shards shuffled)."""
+    import pyarrow as pa
+
+    from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.salted import (
+        _SUMMARY_SCHEMA,
+        _seed_table,
+    )
+
+    rng = np.random.default_rng(5)
+    rows = []
+    for c in range(30):
+        for shard in rng.choice(40, rng.integers(1, 6), replace=False):
+            n_real = int(rng.integers(1, 9))
+            breaks = int(rng.integers(0, n_real + 1))
+            trail = int(rng.integers(1, n_real + 1)) if breaks else n_real
+            first = int(shard) * 1000 + int(rng.integers(0, 100))
+            rows.append({"conv_id": f"c{c}", "__shard": int(shard), "n_real": n_real,
+                         "breaks": breaks, "trail": trail, "first_ts": first,
+                         "last_ts": first + int(rng.integers(0, 800)),
+                         "has_prefix": bool(rng.integers(0, 2))})
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    got = _seed_table(pa.Table.from_pylist(rows, schema=_SUMMARY_SCHEMA)).to_pylist()
+
+    want = []
+    for c in sorted({r["conv_id"] for r in rows}):
+        shards = sorted((r for r in rows if r["conv_id"] == c), key=lambda r: r["__shard"])
+        b_prior = turn_off = trail_in = 0
+        for i, r in enumerate(shards):
+            want.append({
+                "conv_id": c, "__shard": r["__shard"], "b_prior": b_prior,
+                "trail_in": trail_in, "turn_off": turn_off,
+                "lead_ts": shards[i + 1]["first_ts"] if i + 1 < len(shards) else None,
+                "lag_ts": None if i == 0 or r["has_prefix"] else shards[i - 1]["last_ts"],
+            })
+            trail_in = r["trail"] if r["breaks"] else trail_in + r["n_real"]
+            b_prior += r["breaks"]
+            turn_off += r["n_real"]
+    assert got == want

@@ -174,11 +174,11 @@ def test_empty_gold_schema_matches_nonempty():
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.featurize import (
         GoldConfig,
         gold_features_partition,
+        gold_schema,
     )
     from aws_batch_realtime_medallion_ml_feature_platform_pipeline_ray.stages.salted import (
         PREFIX_COL,
         SHARD_COL,
-        _empty_phase_a,
         gold_partition_phase_a,
     )
 
@@ -216,10 +216,8 @@ def test_empty_gold_schema_matches_nonempty():
         nonempty_a = gold_partition_phase_a(tagged, cfg)
         only_prefix = gold_partition_phase_a(prefix_only, cfg)
         assert nonempty_a.num_rows == 1 and only_prefix.num_rows == 0
-        assert empty_a.schema == nonempty_a.schema == _empty_phase_a(cfg).schema
+        assert empty_a.schema == nonempty_a.schema == gold_schema(cfg.role_counts)
         assert only_prefix.schema == nonempty_a.schema
-        # phase A = the gold columns + the stitch's internal columns
-        assert nonempty_a.schema.names[: len(empty.schema)] == empty.schema.names
 
 
 def test_asof_duplicate_key_ts_rejected_and_overflow_guard():
